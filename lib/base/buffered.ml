@@ -30,9 +30,13 @@ type t = {
   cfg : config;
   inner : Sched.t;
   on_drop : now:float -> reason:reason -> Packet.t -> unit;
-  (* flows that ever held a packet: the longest-queue argmax domain.
-     Never pruned — churn workloads recycle ids, so the set stays small. *)
-  mutable seen : Packet.flow list;
+  (* Flows that ever held a packet, in first-seen order: the
+     longest-queue argmax domain, whose ties go to the first-seen flow
+     (tracked under [Longest_queue] only, the one policy that reads it).
+     A [Vec], so admitting a new flow is O(1) rather than a list
+     append. Never pruned — churn workloads recycle ids, so the set
+     stays small. *)
+  seen : Packet.flow Sfq_util.Vec.t;
   seen_mem : bool Flow_table.t;
   drop_counts : int Flow_table.t;
   mutable drops : int;
@@ -44,7 +48,7 @@ let wrap ?(on_drop = fun ~now:_ ~reason:_ _ -> ()) cfg inner =
     cfg;
     inner;
     on_drop;
-    seen = [];
+    seen = Sfq_util.Vec.create ();
     seen_mem = Flow_table.create ~default:(fun _ -> false);
     drop_counts = Flow_table.create ~default:(fun _ -> 0);
     drops = 0;
@@ -65,20 +69,18 @@ let note_drop t ~now ~reason pkt =
    the admission decision then cannot disagree with the state it
    guards, whatever the discipline does internally. *)
 let longest_queue t =
-  List.fold_left
-    (fun best f ->
+  Sfq_util.Vec.fold t.seen ~init:None ~f:(fun best f ->
       let b = t.inner.Sched.backlog f in
       match best with
       | Some (_, bb) when bb >= b -> best  (* ties: first-seen flow wins *)
       | _ -> if b > 0 then Some (f, b) else best)
-    None t.seen
 
 let admit t ~now pkt =
   t.admitted <- t.admitted + 1;
   let flow = pkt.Packet.flow in
-  if not (Flow_table.find t.seen_mem flow) then begin
+  if t.cfg.policy = Longest_queue && not (Flow_table.find t.seen_mem flow) then begin
     Flow_table.set t.seen_mem flow true;
-    t.seen <- t.seen @ [ flow ]
+    Sfq_util.Vec.push t.seen flow
   end;
   t.inner.Sched.enqueue ~now pkt
 

@@ -174,8 +174,11 @@ let run_raw ?mk_link ?(tap = fun (_ : Packet.t) ~at:(_ : float) -> ()) (s : scen
       let sum_other () =
         float_of_int (max static_ids (Flow_registry.high_water reg) - 1) *. len_f
       in
-      let betas flow =
-        let hops = Topo.hops topo ~entry:(flow mod entries) in
+      (* [betas] depend on the flow's entry and, through [sum_other],
+         on the registry high-water mark; [taus] on the entry alone.
+         Both are rebuilt only when those change, not per delivery. *)
+      let betas_of entry =
+        let hops = Topo.hops topo ~entry in
         let all =
           List.map
             (fun (h : Topo.hop) ->
@@ -194,10 +197,20 @@ let run_raw ?mk_link ?(tap = fun (_ : Packet.t) ~at:(_ : float) -> ()) (s : scen
           let skip = i mod List.length all in
           List.filteri (fun j _ -> j <> skip) all
       in
-      let taus flow =
-        List.map (fun (h : Topo.hop) -> h.Topo.prop_delay)
-          (Topo.hops topo ~entry:(flow mod entries))
+      let beta_hw = Array.make entries (-1) and beta_lists = Array.make entries [] in
+      let betas flow =
+        let entry = flow mod entries and hw = Flow_registry.high_water reg in
+        if beta_hw.(entry) <> hw then begin
+          beta_lists.(entry) <- betas_of entry;
+          beta_hw.(entry) <- hw
+        end;
+        beta_lists.(entry)
       in
+      let tau_lists =
+        Array.init entries (fun entry ->
+            List.map (fun (h : Topo.hop) -> h.Topo.prop_delay) (Topo.hops topo ~entry))
+      in
+      let taus flow = tau_lists.(flow mod entries) in
       Some
         (E2e.create ~name:"e2e-delay" ~rate:(fun f -> Weights.get weights f) ~betas
            ~taus ())
@@ -205,22 +218,20 @@ let run_raw ?mk_link ?(tap = fun (_ : Packet.t) ~at:(_ : float) -> ()) (s : scen
   (* Background population: ids recycled through the registry, routes
      and scheduler state torn down only once the flow has nothing in
      flight — the conservation law stays exact under churn. *)
-  let outstanding : (Packet.flow, int) Hashtbl.t = Hashtbl.create 64 in
-  let draining : (Packet.flow, unit) Hashtbl.t = Hashtbl.create 16 in
+  let outstanding : int Flow_table.t = Flow_table.create ~default:(fun _ -> 0) in
+  let draining : unit Flow_table.t = Flow_table.create ~default:(fun _ -> ()) in
   let recycle f =
-    Hashtbl.remove outstanding f;
-    Hashtbl.remove draining f;
+    Flow_table.remove outstanding f;
+    Flow_table.remove draining f;
     Net.unroute net ~flow:f;
     Flow_registry.close_flow reg f
   in
   let settle f n =
-    if f >= s.reserved && n > 0 then
-      match Hashtbl.find_opt outstanding f with
-      | None -> ()
-      | Some c ->
-        let c = c - n in
-        Hashtbl.replace outstanding f c;
-        if c <= 0 && Hashtbl.mem draining f then recycle f
+    if f >= s.reserved && n > 0 && Flow_table.mem outstanding f then begin
+      let c = Flow_table.find outstanding f - n in
+      Flow_table.set outstanding f c;
+      if c <= 0 && Flow_table.mem draining f then recycle f
+    end
   in
   List.iter
     (fun srv -> Server.on_drop srv (fun p -> settle p.Packet.flow 1))
@@ -243,19 +254,19 @@ let run_raw ?mk_link ?(tap = fun (_ : Packet.t) ~at:(_ : float) -> ()) (s : scen
         while Queue.length live >= s.window do
           let f, entry = Queue.pop live in
           let flushed = Topo.close_flow topo ~flow:f ~entry in
-          if
-            flushed
-            >= (match Hashtbl.find_opt outstanding f with Some c -> c | None -> 0)
-          then recycle f
+          let pending =
+            if Flow_table.mem outstanding f then Flow_table.find outstanding f else 0
+          in
+          if flushed >= pending then recycle f
           else begin
-            Hashtbl.replace draining f ();
+            Flow_table.set draining f ();
             settle f flushed
           end
         done;
       let f = Flow_registry.open_flow reg in
       let entry = Rng.int rng entries in
       Topo.route_flow topo ~flow:f ~entry;
-      Hashtbl.replace outstanding f s.pkts_per_flow;
+      Flow_table.set outstanding f s.pkts_per_flow;
       Queue.push (f, entry) live;
       let now = Sim.now sim in
       for j = 1 to s.pkts_per_flow do

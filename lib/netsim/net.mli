@@ -10,7 +10,11 @@
     routing: a flow's route is the list of nodes it visits; when a
     packet finishes service on link (u,v) it is injected, after the
     propagation delay, into link (v,w) for the next node w on its
-    route, until the route ends. *)
+    route, until the route ends.
+
+    {!route} compiles the path once into the array of links it crosses,
+    held in a {!Sfq_base.Flow_table} by flow id; forwarding indexes that
+    array, so a hop costs no table lookup by node pair. *)
 
 open Sfq_base
 
@@ -38,7 +42,14 @@ val server : t -> src:node -> dst:node -> Server.t
 (** @raise Not_found if no such link. *)
 
 val route : t -> flow:Packet.flow -> node list -> unit
-(** Set the flow's path. Every consecutive pair must be linked.
+(** Set (or replace) the flow's path. Every consecutive pair must be
+    linked; the check happens here, and a failed call leaves the
+    previous route in place.
+
+    The route is read each time one of the flow's packets leaves a
+    link: the packet continues along the route it finds then, from that
+    link's position on it. A packet leaving a link that is not on its
+    flow's current route is dropped silently.
     @raise Invalid_argument on a path shorter than 2 nodes or with a
     missing link. *)
 
@@ -46,9 +57,14 @@ val unroute : t -> flow:Packet.flow -> unit
 (** Forget the flow's path (no-op when absent). Part of the flow-id
     recycling contract ({!Sfq_base.Flow_registry}): a closed id's route
     must not leak, and must not be visible to a later flow that reuses
-    the id. Only call once the flow has no packets in flight — a packet
-    between hops whose route has vanished would be dropped silently,
-    breaking the conservation law the property tests check. *)
+    the id.
+
+    Only call once the flow has no packets in flight. A packet queued,
+    in service, or propagating toward a later link when the route
+    vanishes is dropped silently the next time it leaves a link; only a
+    packet already propagating from its last link is still delivered.
+    Such a drop is counted nowhere, which breaks the conservation law
+    the property tests check. *)
 
 val inject : t -> Packet.t -> unit
 (** Send a packet down its flow's route from the first node.

@@ -8,10 +8,11 @@ type t = {
   mutable horizon : float;  (* end time of the last generated segment *)
   nominal_rate : float;
   nominal_delta : float option;
+  fixed : float option;  (* [Some r] iff the rate is [r] forever *)
 }
 
 let make ~nominal_rate ?nominal_delta gen =
-  { segs = Vec.create (); gen; horizon = 0.0; nominal_rate; nominal_delta }
+  { segs = Vec.create (); gen; horizon = 0.0; nominal_rate; nominal_delta; fixed = None }
 
 let extend_once t =
   let duration, rate = t.gen () in
@@ -45,9 +46,7 @@ let work t ~t1 ~t2 =
   if t1 < 0.0 then invalid_arg "Rate_process.work: negative t1";
   cum t t2 -. cum t t1
 
-let time_to_serve t ~from ~amount =
-  if amount <= 0.0 then invalid_arg "Rate_process.time_to_serve: amount must be positive";
-  if from < 0.0 then invalid_arg "Rate_process.time_to_serve: negative from";
+let walk t ~from ~amount =
   let rec go i remaining tcur =
     let s = Vec.get t.segs i in
     let seg_end = if i + 1 < Vec.length t.segs then (Vec.get t.segs (i + 1)).t0 else t.horizon in
@@ -61,12 +60,23 @@ let time_to_serve t ~from ~amount =
   in
   go (seg_index t from) amount from
 
+let time_to_serve t ~from ~amount =
+  if amount <= 0.0 then invalid_arg "Rate_process.time_to_serve: amount must be positive";
+  if from < 0.0 then invalid_arg "Rate_process.time_to_serve: negative from";
+  match t.fixed with
+  | Some rate ->
+    (* [walk] on its one infinite segment, as the same expression so
+       the result is the same bits, without the segment search. *)
+    from +. (amount /. rate)
+  | None -> walk t ~from ~amount
+
 let nominal_rate t = t.nominal_rate
 let nominal_delta t = t.nominal_delta
 
 let constant rate =
   if rate <= 0.0 then invalid_arg "Rate_process.constant: rate must be positive";
-  make ~nominal_rate:rate ~nominal_delta:0.0 (fun () -> (infinity, rate))
+  let t = make ~nominal_rate:rate ~nominal_delta:0.0 (fun () -> (infinity, rate)) in
+  { t with fixed = Some rate }
 
 let square ~c ~swing ~period =
   if swing < 0.0 || swing >= c then invalid_arg "Rate_process.square: need 0 <= swing < c";

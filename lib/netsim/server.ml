@@ -11,15 +11,44 @@ type t = {
   priority : Packet.t Queue.t;
   mutable arrival_rejected : bool;
   mutable busy : bool;
+  (* The server serves one packet at a time, so the packet in service
+     and its start time live here and one completion closure per server
+     replaces a closure per service. [in_service] is [idle_packet]
+     whenever [busy] is false. [start] keeps the clock's boxed float, so
+     storing it allocates nothing. *)
+  mutable in_service : Packet.t;
+  mutable start : float;
+  mutable complete : unit -> unit;
+  work : float array;  (* [| bits served |]: unboxed, so adding boxes nothing *)
   mutable drops : int;
   mutable closed : int;
   mutable departed : int;
-  mutable work_done : float;
+  (* Handler lists are kept in call (registration) order. *)
   mutable inject_handlers : (Packet.t -> unit) list;
   mutable drop_handlers : (reason:Buffered.reason -> Packet.t -> unit) list;
   mutable close_handlers : (flow:Packet.flow -> Packet.t list -> unit) list;
   mutable depart_handlers : (Packet.t -> start:float -> departed:float -> unit) list;
 }
+
+let idle_packet = Packet.make ~flow:(-1) ~seq:1 ~len:1 ~born:0.0 ()
+
+let append handlers h = handlers @ [ h ]
+
+(* Loops rather than [List.iter]: a [fun h -> h p] argument would be a
+   closure allocated per packet. *)
+let rec call_inject hs p =
+  match hs with
+  | [] -> ()
+  | h :: rest ->
+    h p;
+    call_inject rest p
+
+let rec call_depart hs p ~start ~departed =
+  match hs with
+  | [] -> ()
+  | h :: rest ->
+    h p ~start ~departed;
+    call_depart rest p ~start ~departed
 
 let wire_metrics t m ~delay_range =
   let open Sfq_obs in
@@ -40,17 +69,16 @@ let wire_metrics t m ~delay_range =
   in
   let backlog : int ref Flow_table.t = Flow_table.create ~default:(fun _ -> ref 0) in
   t.inject_handlers <-
-    (fun p ->
+    append t.inject_handlers (fun p ->
       let flow = p.Packet.flow in
       Metrics.incr injected;
       Metrics.incr (Metrics.counter m ~flow (pfx ^ "injected"));
       Queue.push (Sim.now t.sim) (Flow_table.find arrivals flow);
       let b = Flow_table.find backlog flow in
       incr b;
-      Metrics.set_gauge (Metrics.gauge m ~flow (pfx ^ "backlog")) (float_of_int !b))
-    :: t.inject_handlers;
+      Metrics.set_gauge (Metrics.gauge m ~flow (pfx ^ "backlog")) (float_of_int !b));
   t.drop_handlers <-
-    (fun ~reason p ->
+    append t.drop_handlers (fun ~reason p ->
       let flow = p.Packet.flow in
       Metrics.incr dropped;
       Metrics.incr (Metrics.counter m ~flow (pfx ^ "dropped"));
@@ -64,18 +92,16 @@ let wire_metrics t m ~delay_range =
         let b = Flow_table.find backlog flow in
         if !b > 0 then decr b;
         Metrics.set_gauge (Metrics.gauge m ~flow (pfx ^ "backlog")) (float_of_int !b);
-        ignore (Queue.take_opt (Flow_table.find arrivals flow)))
-    :: t.drop_handlers;
+        ignore (Queue.take_opt (Flow_table.find arrivals flow)));
   t.close_handlers <-
-    (fun ~flow flushed ->
+    append t.close_handlers (fun ~flow flushed ->
       List.iter (fun _ -> Metrics.incr closed) flushed;
       let b = Flow_table.find backlog flow in
       b := 0;
       Metrics.set_gauge (Metrics.gauge m ~flow (pfx ^ "backlog")) 0.0;
-      Queue.clear (Flow_table.find arrivals flow))
-    :: t.close_handlers;
+      Queue.clear (Flow_table.find arrivals flow));
   t.depart_handlers <-
-    (fun p ~start:_ ~departed:at ->
+    append t.depart_handlers (fun p ~start:_ ~departed:at ->
       let flow = p.Packet.flow in
       Metrics.incr departed;
       Metrics.incr (Metrics.counter m ~flow (pfx ^ "departed"));
@@ -87,7 +113,35 @@ let wire_metrics t m ~delay_range =
       | Some arrived ->
         Metrics.observe m ~flow ~lo ~hi ~bins (pfx ^ "delay") (at -. arrived)
       | None -> ())
-    :: t.depart_handlers
+
+let next_packet t ~now =
+  match Queue.take_opt t.priority with
+  | Some _ as head -> head
+  | None -> t.view.Sched.dequeue ~now
+
+let rec start_service t =
+  if not t.busy then begin
+    let now = Sim.now t.sim in
+    match next_packet t ~now with
+    | None -> ()
+    | Some p ->
+      t.busy <- true;
+      t.in_service <- p;
+      t.start <- now;
+      let finish =
+        Rate_process.time_to_serve t.rate ~from:now ~amount:(float_of_int p.Packet.len)
+      in
+      Sim.schedule t.sim ~at:finish t.complete
+  end
+
+and complete t =
+  let p = t.in_service in
+  t.busy <- false;
+  t.in_service <- idle_packet;
+  t.departed <- t.departed + 1;
+  t.work.(0) <- t.work.(0) +. float_of_int p.Packet.len;
+  call_depart t.depart_handlers p ~start:t.start ~departed:(Sim.now t.sim);
+  start_service t
 
 let create sim ~name ~rate ~sched ?flow_buffer_limit ?buffer ?metrics
     ?(delay_range = (0.0, 10.0)) () =
@@ -112,10 +166,13 @@ let create sim ~name ~rate ~sched ?flow_buffer_limit ?buffer ?metrics
       priority = Queue.create ();
       arrival_rejected = false;
       busy = false;
+      in_service = idle_packet;
+      start = 0.0;
+      complete = ignore;
+      work = [| 0.0 |];
       drops = 0;
       closed = 0;
       departed = 0;
-      work_done = 0.0;
       inject_handlers = [];
       drop_handlers = [];
       close_handlers = [];
@@ -128,40 +185,15 @@ let create sim ~name ~rate ~sched ?flow_buffer_limit ?buffer ?metrics
     let on_drop ~now:_ ~reason pkt =
       t.drops <- t.drops + 1;
       if reason = Buffered.Rejected then t.arrival_rejected <- true;
-      List.iter (fun h -> h ~reason pkt) (List.rev t.drop_handlers)
+      List.iter (fun h -> h ~reason pkt) t.drop_handlers
     in
     t.view <- Buffered.sched (Buffered.wrap ~on_drop cfg sched));
+  t.complete <- (fun () -> complete t);
   (match metrics with None -> () | Some m -> wire_metrics t m ~delay_range);
   t
 
-let next_packet t ~now =
-  match Queue.take_opt t.priority with
-  | Some p -> Some p
-  | None -> t.view.Sched.dequeue ~now
-
-let rec start_service t =
-  if not t.busy then begin
-    let now = Sim.now t.sim in
-    match next_packet t ~now with
-    | None -> ()
-    | Some p ->
-      t.busy <- true;
-      let finish =
-        Rate_process.time_to_serve t.rate ~from:now ~amount:(float_of_int p.Packet.len)
-      in
-      Sim.schedule t.sim ~at:finish (fun () -> complete t p ~start:now)
-  end
-
-and complete t p ~start =
-  let departed = Sim.now t.sim in
-  t.busy <- false;
-  t.departed <- t.departed + 1;
-  t.work_done <- t.work_done +. float_of_int p.Packet.len;
-  List.iter (fun h -> h p ~start ~departed) (List.rev t.depart_handlers);
-  start_service t
-
 let accept t p =
-  List.iter (fun h -> h p) (List.rev t.inject_handlers);
+  call_inject t.inject_handlers p;
   start_service t
 
 let inject t p =
@@ -176,17 +208,16 @@ let inject_priority t p =
 let close_flow t flow =
   let flushed = t.view.Sched.close_flow ~now:(Sim.now t.sim) flow in
   t.closed <- t.closed + List.length flushed;
-  List.iter (fun h -> h ~flow flushed) (List.rev t.close_handlers);
+  List.iter (fun h -> h ~flow flushed) t.close_handlers;
   flushed
 
 let kick t = start_service t
 
-let on_inject t h = t.inject_handlers <- h :: t.inject_handlers
-let on_drop t h = t.drop_handlers <- (fun ~reason:_ p -> h p) :: t.drop_handlers
-
-let on_drop_reason t h = t.drop_handlers <- h :: t.drop_handlers
-let on_close t h = t.close_handlers <- h :: t.close_handlers
-let on_depart t h = t.depart_handlers <- h :: t.depart_handlers
+let on_inject t h = t.inject_handlers <- append t.inject_handlers h
+let on_drop t h = t.drop_handlers <- append t.drop_handlers (fun ~reason:_ p -> h p)
+let on_drop_reason t h = t.drop_handlers <- append t.drop_handlers h
+let on_close t h = t.close_handlers <- append t.close_handlers h
+let on_depart t h = t.depart_handlers <- append t.depart_handlers h
 let sched t = t.sched
 let sim t = t.sim
 let name t = t.name
@@ -194,4 +225,4 @@ let busy t = t.busy
 let drops t = t.drops
 let closed t = t.closed
 let departed t = t.departed
-let work_done t = t.work_done
+let work_done t = t.work.(0)

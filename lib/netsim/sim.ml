@@ -11,63 +11,81 @@ type t = {
      in scheduling order, and the monomorphic heap spares the netsim
      loop a closure call per comparison. *)
   queue : (unit -> unit) Fheap.t;
-  mutable clock : float;
+  (* [clock.(0)] is the current time, unboxed, so a pop advances it
+     without allocating; [now] boxes it at most once per instant, into
+     [boxed]. [next.(0)] is scratch for [run]'s horizon test. *)
+  clock : float array;
+  next : float array;
+  mutable boxed : float;
+  mutable boxed_valid : bool;
   mutable next_seq : int;
   mutable fired : int;
   mutable metrics : metrics option;
 }
 
 let create () =
-  { queue = Fheap.create ~capacity:64 (); clock = 0.0; next_seq = 0; fired = 0;
-    metrics = None }
+  {
+    queue = Fheap.create ~capacity:64 ();
+    clock = [| 0.0 |];
+    next = [| 0.0 |];
+    boxed = 0.0;
+    boxed_valid = true;
+    next_seq = 0;
+    fired = 0;
+    metrics = None;
+  }
 
-let now t = t.clock
+let now t =
+  if not t.boxed_valid then begin
+    t.boxed <- t.clock.(0);
+    t.boxed_valid <- true
+  end;
+  t.boxed
 
 let schedule t ~at fn =
-  if at < t.clock then
-    invalid_arg (Printf.sprintf "Sim.schedule: at=%g is before now=%g" at t.clock);
+  if at < t.clock.(0) then
+    invalid_arg (Printf.sprintf "Sim.schedule: at=%g is before now=%g" at t.clock.(0));
   Fheap.add t.queue ~key:at ~tie:0.0 ~uid:t.next_seq fn;
   t.next_seq <- t.next_seq + 1
 
 let schedule_after t ~delay fn =
   if delay < 0.0 then invalid_arg "Sim.schedule_after: negative delay";
-  schedule t ~at:(t.clock +. delay) fn
+  schedule t ~at:(t.clock.(0) +. delay) fn
 
-let fire t ~at fn =
-  t.clock <- at;
+(* Pop the earliest event (the queue is not empty) and fire it. Reading
+   the root through [min_key_into]/[min_elt_exn]/[remove_root] builds
+   no [Some (key, fn)] and boxes no float. *)
+let pop_fire t =
+  Fheap.min_key_into t.queue t.clock;
+  t.boxed_valid <- false;
+  let fn = Fheap.min_elt_exn t.queue in
+  Fheap.remove_root t.queue;
   t.fired <- t.fired + 1;
   (match t.metrics with
   | None -> ()
   | Some m ->
     Sfq_obs.Metrics.incr m.m_events;
     Sfq_obs.Metrics.set_gauge m.m_pending (float_of_int (Fheap.length t.queue));
-    Sfq_obs.Metrics.set_gauge m.m_now at);
+    Sfq_obs.Metrics.set_gauge m.m_now (now t));
   fn ()
 
 let run t ~until =
-  let rec loop () =
-    if (not (Fheap.is_empty t.queue)) && Fheap.min_key_exn t.queue <= until then begin
-      match Fheap.pop t.queue with
-      | Some (at, fn) ->
-        fire t ~at fn;
-        loop ()
-      | None -> ()
-    end
-  in
-  loop ();
-  if until > t.clock then t.clock <- until
+  let due = ref true in
+  while !due && not (Fheap.is_empty t.queue) do
+    Fheap.min_key_into t.queue t.next;
+    if t.next.(0) <= until then pop_fire t else due := false
+  done;
+  if until > t.clock.(0) then begin
+    t.clock.(0) <- until;
+    t.boxed_valid <- false
+  end
 
 let run_all t ?(limit = 100_000_000) () =
-  let rec loop n =
-    if n < limit then begin
-      match Fheap.pop t.queue with
-      | Some (at, fn) ->
-        fire t ~at fn;
-        loop (n + 1)
-      | None -> ()
-    end
-  in
-  loop 0
+  let n = ref 0 in
+  while !n < limit && not (Fheap.is_empty t.queue) do
+    pop_fire t;
+    incr n
+  done
 
 let pending t = Fheap.length t.queue
 let events_fired t = t.fired

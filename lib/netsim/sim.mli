@@ -3,7 +3,11 @@
     A simulation is a clock plus a priority queue of timestamped
     callbacks. Equal-time events fire in scheduling order, which makes
     every experiment deterministic given its RNG seed. This replaces
-    the REAL simulator used by the paper's Figs. 1 and 2(b). *)
+    the REAL simulator used by the paper's Figs. 1 and 2(b).
+
+    Firing an event allocates nothing: the queue is read through
+    {!Sfq_util.Fheap}'s non-allocating root accessors and the clock is
+    held unboxed. {!now} boxes the clock at most once per instant. *)
 
 type t
 

@@ -9,11 +9,11 @@ let enqueue t ~now:_ pkt =
   Flow_table.set t.counts pkt.Packet.flow (Flow_table.find t.counts pkt.Packet.flow + 1)
 
 let dequeue t ~now:_ =
-  match Queue.take_opt t.queue with
-  | None -> None
-  | Some p ->
-    Flow_table.set t.counts p.Packet.flow (Flow_table.find t.counts p.Packet.flow - 1);
-    Some p
+  let head = Queue.take_opt t.queue in
+  (match head with
+  | None -> ()
+  | Some p -> Flow_table.set t.counts p.Packet.flow (Flow_table.find t.counts p.Packet.flow - 1));
+  head
 
 let peek t = Queue.peek_opt t.queue
 let size t = Queue.length t.queue

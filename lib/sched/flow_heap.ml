@@ -25,14 +25,16 @@ let ring_make () =
     len = 0;
   }
 
+let ring_min = 8  (* slots of a fresh ring *)
+
 let ring_grow r v =
   let cur = Array.length r.rdata in
   if cur = 0 then begin
-    r.rkeys <- Array.make 8 0.0;
-    r.raux <- Array.make 8 0.0;
-    r.rties <- Array.make 8 0.0;
-    r.ruids <- Array.make 8 0;
-    r.rdata <- Array.make 8 v
+    r.rkeys <- Array.make ring_min 0.0;
+    r.raux <- Array.make ring_min 0.0;
+    r.rties <- Array.make ring_min 0.0;
+    r.ruids <- Array.make ring_min 0;
+    r.rdata <- Array.make ring_min v
   end
   else if r.len = cur then begin
     let cap = 2 * cur in
@@ -76,14 +78,31 @@ type 'a popped = { key : float; aux : float; uid : int; flow : Packet.flow; valu
 type 'a t = {
   heap : Packet.flow Fheap.t;  (* one entry per backlogged flow: its head *)
   rings : 'a ring Flow_table.t;
+  spare : 'a ring list ref;  (* emptied 8-slot rings, handed to new flows *)
+  (* [| first value ever pushed |], or [||] before that. OCaml has no
+     ['a] dummy, so this value stands in for a cleared ring slot. The
+     clearing matters: rings live in the major heap, and a popped value
+     still referenced from its old slot stays alive, and is promoted,
+     until the slot is reused. *)
+  mutable filler : 'a array;
   mutable next_uid : int;
   mutable total : int;
 }
 
 let create ?capacity () =
+  let spare = ref [] in
+  let fresh _ =
+    match !spare with
+    | r :: rest ->
+      spare := rest;
+      r
+    | [] -> ring_make ()
+  in
   {
     heap = Fheap.create ?capacity ();
-    rings = Flow_table.create ~default:(fun _ -> ring_make ());
+    rings = Flow_table.create ~default:fresh;
+    spare;
+    filler = [||];
     next_uid = 0;
     total = 0;
   }
@@ -92,6 +111,7 @@ let push t ~flow ~key ?(aux = 0.0) ~tie v =
   let uid = t.next_uid in
   t.next_uid <- uid + 1;
   t.total <- t.total + 1;
+  if Array.length t.filler = 0 then t.filler <- [| v |];
   let r = Flow_table.find t.rings flow in
   let was_empty = r.len = 0 in
   ring_push r ~key ~aux ~tie ~uid v;
@@ -108,6 +128,7 @@ let pop t =
     let r = Flow_table.find t.rings flow in
     let i = r.head in
     let key = r.rkeys.(i) and aux = r.raux.(i) and uid = r.ruids.(i) and v = r.rdata.(i) in
+    r.rdata.(i) <- t.filler.(0);
     r.head <- (i + 1) land (Array.length r.rdata - 1);
     r.len <- r.len - 1;
     t.total <- t.total - 1;
@@ -146,6 +167,7 @@ let evict_front t flow =
   | Some r ->
     let i = r.head in
     let key = r.rkeys.(i) and aux = r.raux.(i) and uid = r.ruids.(i) and v = r.rdata.(i) in
+    r.rdata.(i) <- t.filler.(0);
     r.head <- (i + 1) land (Array.length r.rdata - 1);
     r.len <- r.len - 1;
     t.total <- t.total - 1;
@@ -164,6 +186,7 @@ let evict_back t flow =
   | Some r ->
     let i = (r.head + r.len - 1) land (Array.length r.rdata - 1) in
     let key = r.rkeys.(i) and aux = r.raux.(i) and uid = r.ruids.(i) and v = r.rdata.(i) in
+    r.rdata.(i) <- t.filler.(0);
     r.len <- r.len - 1;
     t.total <- t.total - 1;
     (* the tail is the heap representative only when it was alone *)
@@ -189,9 +212,17 @@ let flush_flow t flow =
       t.total <- t.total - n;
       heap_remove t flow
     end;
-    (* drop the ring itself: a recycled id re-grows from scratch and a
-       burst's peak capacity is not pinned forever *)
+    (* The flow gives its ring up. A ring that never grew is emptied
+       and handed to the next new flow, so recycling ids allocates no
+       rings; a ring that grew is dropped, so a burst's peak capacity
+       is not pinned forever. *)
     Flow_table.remove t.rings flow;
+    if Array.length r.rdata = ring_min then begin
+      Array.fill r.rdata 0 ring_min t.filler.(0);
+      r.head <- 0;
+      r.len <- 0;
+      t.spare := r :: !(t.spare)
+    end;
     out
 
 let ring_capacity t flow =

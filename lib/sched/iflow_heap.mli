@@ -87,9 +87,13 @@ val evict_back : 'a t -> Packet.flow -> 'a popped option
     flow empties (then its heap entry is removed, O(F)). *)
 
 val flush_flow : 'a t -> Packet.flow -> 'a popped list
-(** Remove every queued entry of [flow], oldest first, and discard the
-    flow's ring entirely so a recycled id re-grows from scratch.
-    Returns [[]] for an unknown or empty flow. *)
+(** Remove every queued entry of [flow], oldest first, and take the
+    flow's ring away: the id then behaves as fresh (backlog 0, FIFO, the
+    pop order of a new store). A ring that never grew past its initial
+    8 slots is emptied and kept for the next flow that needs one, so
+    recycling ids allocates no rings; a ring that grew is discarded, so
+    a burst's peak capacity is released. Returns [[]] for an unknown or
+    empty flow. *)
 
 val ring_capacity : 'a t -> Packet.flow -> int
 (** Allocated ring slots for [flow] (0 when it holds no ring) — exposed

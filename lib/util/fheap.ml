@@ -53,8 +53,12 @@ let grow h x =
     h.data <- data
   end
 
+(* The comparisons are [@inline]: without flambda a float argument of
+   an out-of-line call is boxed, so a plain call would allocate two
+   floats per sift level. *)
+
 (* Is the loose element (k, tie, uid) strictly below slot [j]? *)
-let lt_slot h k tie uid j =
+let[@inline] lt_slot h k tie uid j =
   let kj = h.keys.(j) in
   k < kj
   || k = kj
@@ -63,10 +67,10 @@ let lt_slot h k tie uid j =
      tie < tj || (tie = tj && uid < h.uids.(j))
 
 (* Is slot [i] strictly below slot [j]? *)
-let lt h i j = lt_slot h h.keys.(i) h.ties.(i) h.uids.(i) j
+let[@inline] lt h i j = lt_slot h h.keys.(i) h.ties.(i) h.uids.(i) j
 
 (* Is slot [j] strictly below the loose element (k, tie, uid)? *)
-let slot_lt h j k tie uid =
+let[@inline] slot_lt h j k tie uid =
   let kj = h.keys.(j) in
   kj < k
   || kj = k
@@ -138,10 +142,19 @@ let min_key_exn h =
   if h.size = 0 then invalid_arg "Fheap.min_key_exn: empty heap";
   h.keys.(0)
 
+let min_key_into h dst =
+  if h.size = 0 then invalid_arg "Fheap.min_key_into: empty heap";
+  dst.(0) <- h.keys.(0)
+
+let min_elt_exn h =
+  if h.size = 0 then invalid_arg "Fheap.min_elt_exn: empty heap";
+  h.data.(0)
+
 let min_elt h = if h.size = 0 then None else Some h.data.(0)
 let min h = if h.size = 0 then None else Some (h.keys.(0), h.data.(0))
 
 let remove_root h =
+  if h.size = 0 then invalid_arg "Fheap.remove_root: empty heap";
   h.size <- h.size - 1;
   if h.size > 0 then begin
     let n = h.size in

@@ -20,7 +20,9 @@
     insertion order. Keys and ties must not be NaN.
 
     [add] and [pop] are O(log n); [min]/[min_elt]/[min_key_exn] are
-    O(1). Keep {!Ds_heap} for heterogeneous orderings (version counters,
+    O(1). Once the arrays have reached peak size, [add],
+    [min_key_into], [min_elt_exn] and [remove_root] allocate nothing:
+    the comparisons are inlined, so no float is boxed on a sift. Keep {!Ds_heap} for heterogeneous orderings (version counters,
     multi-field records) that do not fit this shape. *)
 
 type 'a t
@@ -38,6 +40,23 @@ val add : 'a t -> key:float -> tie:float -> uid:int -> 'a -> unit
 
 val min_key_exn : 'a t -> float
 (** Smallest key, without allocation.
+    @raise Invalid_argument on an empty heap. *)
+
+val min_key_into : 'a t -> float array -> unit
+(** [min_key_into h dst] stores the smallest key in [dst.(0)]. A float
+    returned by a function that is not inlined is boxed, and the dev
+    build inlines nothing across modules; a float array slot holds the
+    key unboxed, so this reads it without allocating.
+    @raise Invalid_argument on an empty heap. *)
+
+val min_elt_exn : 'a t -> 'a
+(** Payload of the smallest element, without allocation.
+    @raise Invalid_argument on an empty heap. *)
+
+val remove_root : 'a t -> unit
+(** Remove the smallest element. With {!min_key_exn} and
+    {!min_elt_exn} this pops without building the option and tuple
+    {!pop} returns, so a steady-state add/pop cycle allocates nothing.
     @raise Invalid_argument on an empty heap. *)
 
 val min_elt : 'a t -> 'a option

@@ -124,6 +124,101 @@ let test_net_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* Compiled routes: [route] turns the path into the array of links it
+   crosses, and a re-route replaces that array. A recycled id sent in
+   at another entry of a star must cross that entry's access link. *)
+let test_net_recycled_id_takes_new_route () =
+  let sim = Sim.create () in
+  let topo =
+    Topo.build sim (Topo.Star { leaves = 2 }) ~access_rate:100.0 ~core_rate:100.0
+      ~mk_sched:(fun ~rate:_ -> fifo ()) ~prop_delay:0.5 ()
+  in
+  let net = Topo.net topo in
+  let access entry = (List.hd (Topo.hops topo ~entry)).Topo.server in
+  let send seq =
+    Sim.schedule sim ~at:(Sim.now sim) (fun () -> Net.inject net (pkt ~flow:5 ~seq ~len:100 ()));
+    Sim.run_all sim ()
+  in
+  Topo.route_flow topo ~flow:5 ~entry:0;
+  send 1;
+  Net.unroute net ~flow:5;
+  Topo.route_flow topo ~flow:5 ~entry:1;
+  send 2;
+  check_int "first life crossed entry 0" 1 (Server.departed (access 0));
+  check_int "second life crossed entry 1" 1 (Server.departed (access 1));
+  check_int "both delivered" 2 (Net.delivered net);
+  check_int "core carried both" 2 (Server.departed (Topo.core topo))
+
+let test_net_missing_link_raises_at_route () =
+  let sim, net, a, b, c = line () in
+  Net.route net ~flow:1 [ a; b; c ];
+  Alcotest.check_raises "missing link named at route time"
+    (Invalid_argument "Net.route: missing link c->a") (fun () -> Net.route net ~flow:1 [ b; c; a ]);
+  (* the failed call left the flow's compiled route untouched *)
+  Sim.schedule sim ~at:0.0 (fun () -> Net.inject net (pkt ~flow:1 ~seq:1 ~len:100 ()));
+  Sim.run_all sim ();
+  check_int "old route still delivers" 1 (Net.delivered net)
+
+(* [unroute] while a packet propagates a->b on a->b->c: it still enters
+   b->c, whose departure finds no route and drops it silently. A packet
+   already propagating from its last link is delivered. *)
+let test_net_unroute_in_propagation () =
+  let sim, net, a, b, c = line () in
+  let bc = Net.server net ~src:b ~dst:c in
+  Net.route net ~flow:1 [ a; b; c ];
+  Sim.schedule sim ~at:0.0 (fun () -> Net.inject net (pkt ~flow:1 ~seq:1 ~len:100 ()));
+  (* served on a->b over [0, 1], propagating over [1, 1.5] *)
+  Sim.schedule sim ~at:1.2 (fun () -> Net.unroute net ~flow:1);
+  Sim.run_all sim ();
+  check_int "it was still served on b->c" 1 (Server.departed bc);
+  check_int "then dropped, not delivered" 0 (Net.delivered net);
+  check_int "nor counted as a drop" 0 (Server.drops bc);
+  Net.route net ~flow:1 [ a; b; c ];
+  Sim.schedule sim ~at:10.0 (fun () -> Net.inject net (pkt ~flow:1 ~seq:2 ~len:100 ()));
+  (* served on b->c over [11.5, 12.5], propagating to c over [12.5, 13] *)
+  Sim.schedule sim ~at:12.7 (fun () -> Net.unroute net ~flow:1);
+  Sim.run_all sim ();
+  check_int "past its last link it is delivered" 1 (Net.delivered net);
+  check_float "at the usual time" 13.0 (Sim.now sim)
+
+(* Packets propagating on a link wait in a per-link FIFO ring: here
+   dozens are in flight on a->b at once, arriving while the ring grows
+   with its head mid-array, and all must come out in order on time. *)
+let test_net_propagation_fifo () =
+  let sim = Sim.create () in
+  let net = Net.create sim in
+  let a = Net.add_node net "a" and b = Net.add_node net "b" and c = Net.add_node net "c" in
+  let link src dst rate =
+    ignore
+      (Net.link net ~src ~dst ~rate:(Rate_process.constant rate) ~sched:(fifo ())
+         ~prop_delay:0.375 ())
+  in
+  (* b->c is fast enough that no packet ever queues there *)
+  link a b 100.0;
+  link b c 10_000.0;
+  Net.route net ~flow:1 [ a; b; c ];
+  let got = ref [] in
+  Net.on_delivered net (fun p ~at -> got := (p.Packet.seq, at) :: !got);
+  (* 8 packets of 12 bits, then 56 of 1 bit: the first ones arrive
+     before the burst behind them fills the ring *)
+  let len seq = if seq <= 8 then 12 else 1 in
+  Sim.schedule sim ~at:0.0 (fun () ->
+      for seq = 1 to 64 do
+        Net.inject net (pkt ~flow:1 ~seq ~len:(len seq) ())
+      done);
+  Sim.run_all sim ();
+  let got = List.rev !got in
+  Alcotest.(check (list int)) "delivered in order" (List.init 64 (fun i -> i + 1)) (List.map fst got);
+  let departed_ab seq =
+    (float_of_int (min seq 8) *. 0.12) +. (float_of_int (max 0 (seq - 8)) *. 0.01)
+  in
+  List.iter
+    (fun (seq, at) ->
+      check_float (Printf.sprintf "seq %d on time" seq)
+        (departed_ab seq +. 0.375 +. (float_of_int (len seq) /. 10_000.0) +. 0.375)
+        at)
+    got
+
 let test_net_per_link_discipline () =
   (* SFQ on one link actually schedules: two flows share a->b with
      weights 1:3; the heavy flow gets 3 of 4 slots. *)
@@ -435,6 +530,12 @@ let () =
           Alcotest.test_case "branching routes" `Quick test_net_branching_routes;
           Alcotest.test_case "validation" `Quick test_net_validation;
           Alcotest.test_case "per-link discipline" `Quick test_net_per_link_discipline;
+          Alcotest.test_case "recycled id takes its new route" `Quick
+            test_net_recycled_id_takes_new_route;
+          Alcotest.test_case "missing link raises at route time" `Quick
+            test_net_missing_link_raises_at_route;
+          Alcotest.test_case "unroute during propagation" `Quick test_net_unroute_in_propagation;
+          Alcotest.test_case "propagation keeps per-link FIFO" `Quick test_net_propagation_fifo;
         ] );
       ( "jitter_edd",
         [

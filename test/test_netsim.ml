@@ -79,6 +79,24 @@ let test_sim_same_instant_reschedule () =
   Sim.run_all sim ();
   Alcotest.(check (list string)) "same instant ok" [ "a"; "b" ] (List.rev !log)
 
+(* Pops through the non-allocating root accessors and an unboxed
+   clock: with every event pre-scheduled, [run_all] allocates nothing
+   per pop (the shared callback allocates nothing either). *)
+let test_sim_run_all_zero_alloc () =
+  let sim = Sim.create () in
+  let fired = ref 0 in
+  let tick () = incr fired in
+  let n = 100_000 in
+  for i = 1 to n do
+    Sim.schedule sim ~at:(float_of_int (i / 3)) tick
+  done;
+  let before = Gc.minor_words () in
+  Sim.run_all sim ();
+  let words = Gc.minor_words () -. before in
+  check_int "all fired" n !fired;
+  check_float "clock at the last event" (float_of_int (n / 3)) (Sim.now sim);
+  check_float "minor words over 100k pops" 0.0 words
+
 (* ------------------------------------------------------------------ *)
 (* Rate_process                                                         *)
 
@@ -260,6 +278,26 @@ let test_server_variable_rate_service () =
   Sim.schedule sim ~at:0.0 (fun () -> Server.inject server (pkt ~flow:1 ~seq:1 ~len:60 ()));
   Sim.run_all sim ();
   check_float "completion across segments" 1.5 !departed
+
+(* One completion closure per server: the packet in service and its
+   start time live in the server. What a back-to-back service still
+   allocates is 2 words each for the FIFO's [Some p], the packet length
+   boxed as the rate process's [amount], the finish time it returns and
+   the clock of the new instant. A closure per service (header, code
+   pointer, info word, server, packet, start) would add 6 more. *)
+let test_server_no_closure_per_service () =
+  let sim = Sim.create () in
+  let server = Server.create sim ~name:"s" ~rate:(Rate_process.constant 1024.0) ~sched:(fifo ()) () in
+  let n = 50_000 in
+  let pkts = Array.init n (fun i -> pkt ~flow:1 ~seq:(i + 1) ~len:64 ()) in
+  Sim.schedule sim ~at:0.0 (fun () -> Array.iter (Server.inject server) pkts);
+  Sim.run sim ~until:0.0;
+  let before = Gc.minor_words () in
+  Sim.run_all sim ();
+  let words = Gc.minor_words () -. before in
+  check_int "all served" n (Server.departed server);
+  check_float "back to back" (float_of_int n /. 16.0) (Sim.now sim);
+  check_bool "at most 8 words per service" true (words <= 8.0 *. float_of_int n)
 
 (* ------------------------------------------------------------------ *)
 (* Sources                                                              *)
@@ -560,6 +598,8 @@ let () =
           Alcotest.test_case "run until" `Quick test_sim_run_until;
           Alcotest.test_case "cascade" `Quick test_sim_cascade;
           Alcotest.test_case "same-instant reschedule" `Quick test_sim_same_instant_reschedule;
+          Alcotest.test_case "run_all allocates nothing per pop" `Quick
+            test_sim_run_all_zero_alloc;
         ] );
       ( "rate_process",
         [
@@ -580,6 +620,7 @@ let () =
           Alcotest.test_case "buffer drop" `Quick test_server_buffer_drop;
           Alcotest.test_case "inject handler" `Quick test_server_inject_handler_fires;
           Alcotest.test_case "variable-rate service" `Quick test_server_variable_rate_service;
+          Alcotest.test_case "no closure per service" `Quick test_server_no_closure_per_service;
         ] );
       ( "sources",
         [

@@ -100,6 +100,44 @@ let test_longest_queue_aggregate_evicts_newest_of_longest () =
   check_int "flow 1 trimmed" 1 (inner.Sched.backlog 1);
   check_int "flow 2's arrival admitted" 2 (inner.Sched.backlog 2)
 
+let test_longest_queue_tie_goes_to_first_seen () =
+  (* flows first seen in the order 3, 1, 2, all tied at backlog 2: the
+     first-seen flow pays, whatever the ids' numeric order *)
+  let v, inner, drops = buffered ~aggregate:6 ~policy:Buffered.Longest_queue () in
+  List.iter (fun f -> v.Sched.enqueue ~now:0.0 (pkt f 1)) [ 3; 1; 2 ];
+  List.iter (fun f -> v.Sched.enqueue ~now:0.0 (pkt f 2)) [ 2; 1; 3 ];
+  v.Sched.enqueue ~now:0.0 (pkt 4 1);
+  (match drop_list drops with
+  | [ (Buffered.Evicted, p) ] ->
+    check_int "first-seen flow pays the tie" 3 p.Packet.flow;
+    check_int "with its newest packet" 2 p.Packet.seq
+  | _ -> Alcotest.fail "expected exactly one Evicted drop");
+  check_int "the newcomer is admitted" 1 (inner.Sched.backlog 4);
+  (* a second overflow: flow 3 is now shorter, so the tie among 1 and 2
+     goes to 1, seen before 2 *)
+  v.Sched.enqueue ~now:0.0 (pkt 5 1);
+  match drop_list drops with
+  | [ _; (Buffered.Evicted, p) ] -> check_int "next first-seen among the longest" 1 p.Packet.flow
+  | _ -> Alcotest.fail "expected a second Evicted drop"
+
+(* Admitting a new flow costs the same at any number of flows seen: the
+   first-seen list is a Vec, not a list copied by an append per new
+   flow (which cost a cons cell per flow already seen). *)
+let words_per_admit flows =
+  let pkts = Array.init flows (fun f -> pkt f 1) in
+  let b = Buffered.wrap (Buffered.config ~policy:Buffered.Longest_queue ()) (Fifo.sched (Fifo.create ())) in
+  let v = Buffered.sched b in
+  let before = Gc.minor_words () in
+  Array.iter (v.Sched.enqueue ~now:0.0) pkts;
+  (Gc.minor_words () -. before) /. float_of_int flows
+
+let test_admit_cost_flat_in_flows_seen () =
+  let small = words_per_admit 1024 and large = words_per_admit 16384 in
+  check_bool
+    (Printf.sprintf "16384 flows: %.1f words/admit within 1.5x of 1024 flows: %.1f" large small)
+    true
+    (large <= 1.5 *. small)
+
 let test_no_evict_degrades_to_reject () =
   (* a discipline that cannot remove mid-queue packets (Sched.no_evict):
      eviction policies must refuse the arrival rather than lose a
@@ -300,6 +338,52 @@ let test_flow_heap_flush_releases_ring () =
   | Some p -> check_int "and serves" 99 p.Flow_heap.value
   | None -> Alcotest.fail "expected the repushed entry"
 
+let test_iflow_heap_flush_recycles_small_ring () =
+  (* a recycled id after flush_flow behaves as a fresh one: the same
+     pushes give the same pops as on a new heap *)
+  let script h =
+    List.iter
+      (fun (flow, key) -> Iflow_heap.push h ~flow ~key ~aux:key ~tie:0 ((flow * 100) + key))
+      [ (7, 5); (3, 5); (7, 6); (3, 9); (7, 6) ];
+    List.init 5 (fun _ ->
+        let v = Iflow_heap.pop_exn h in
+        (v, Iflow_heap.last_key h, Iflow_heap.last_flow h))
+  in
+  let h = Iflow_heap.create () in
+  List.iter (fun k -> Iflow_heap.push h ~flow:7 ~key:k ~aux:0 ~tie:0 (-k)) [ 1; 2; 3 ];
+  ignore (Iflow_heap.pop_exn h);
+  let flushed = Iflow_heap.flush_flow h 7 in
+  Alcotest.(check (list int)) "flushed oldest first" [ -2; -3 ]
+    (List.map (fun p -> p.Iflow_heap.value) flushed);
+  check_int "backlog 0 after the flush" 0 (Iflow_heap.backlog h 7);
+  check_int "store empty" 0 (Iflow_heap.size h);
+  check_int "the id holds no ring" 0 (Iflow_heap.ring_capacity h 7);
+  (* the emptied 8-slot ring is handed to the next flow: no allocation *)
+  let before = Gc.minor_words () in
+  Iflow_heap.push h ~flow:7 ~key:9 ~aux:0 ~tie:0 9;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "re-pushing the recycled id allocates no ring" 0.0 words;
+  check_int "it has the recycled 8-slot ring" 8 (Iflow_heap.ring_capacity h 7);
+  check_int "and serves" 9 (Iflow_heap.pop_exn h);
+  ignore (Iflow_heap.flush_flow h 7);
+  let fresh = script (Iflow_heap.create ()) and recycled = script h in
+  check_bool "same pop order as a new heap" true (fresh = recycled);
+  check_int "FIFO within the flow: 7's equal keys in push order" 706
+    (let v, _, _ = List.nth recycled 2 in
+     v)
+
+let test_iflow_heap_flush_releases_grown_ring () =
+  let h = Iflow_heap.create () in
+  for i = 1 to 64 do
+    Iflow_heap.push h ~flow:7 ~key:i ~aux:0 ~tie:0 i
+  done;
+  check_bool "burst grew the ring" true (Iflow_heap.ring_capacity h 7 >= 64);
+  check_int "all entries flushed" 64 (List.length (Iflow_heap.flush_flow h 7));
+  check_int "grown ring released entirely" 0 (Iflow_heap.ring_capacity h 7);
+  Iflow_heap.push h ~flow:7 ~key:0 ~aux:0 ~tie:0 99;
+  check_int "the recycled id starts from a fresh ring" 8 (Iflow_heap.ring_capacity h 7);
+  check_int "and serves" 99 (Iflow_heap.pop_exn h)
+
 let test_flow_heap_evict_ends () =
   let fh = Flow_heap.create () in
   List.iter (fun i -> Flow_heap.push fh ~flow:1 ~key:(float_of_int i) ~tie:0.0 i) [ 1; 2; 3 ];
@@ -373,6 +457,10 @@ let () =
             test_longest_queue_aggregate_evicts_newest_of_longest;
           Alcotest.test_case "no-evict degrades to reject" `Quick
             test_no_evict_degrades_to_reject;
+          Alcotest.test_case "longest-queue tie goes to the first-seen flow" `Quick
+            test_longest_queue_tie_goes_to_first_seen;
+          Alcotest.test_case "admit cost flat in flows seen" `Quick
+            test_admit_cost_flat_in_flows_seen;
         ] );
       ( "lifecycle",
         [
@@ -395,6 +483,10 @@ let () =
             test_fheap_capacity_and_removal;
           Alcotest.test_case "Flow_heap.flush_flow releases the ring" `Quick
             test_flow_heap_flush_releases_ring;
+          Alcotest.test_case "Iflow_heap.flush_flow recycles an 8-slot ring" `Quick
+            test_iflow_heap_flush_recycles_small_ring;
+          Alcotest.test_case "Iflow_heap.flush_flow releases a grown ring" `Quick
+            test_iflow_heap_flush_releases_grown_ring;
           Alcotest.test_case "Flow_heap evicts the right ends" `Quick
             test_flow_heap_evict_ends;
           Alcotest.test_case "Flow_registry recycles LIFO" `Quick

@@ -138,6 +138,41 @@ let test_fheap_min_agrees_with_pop () =
   Fheap.clear h;
   check_bool "cleared" true (Fheap.is_empty h)
 
+(* Steady-state add/pop through the non-allocating root accessors. The
+   keys come preboxed (a float field of a mixed record), as they do from
+   a caller's own arguments, so any word counted here is the heap's: a
+   comparison that was not inlined would box two floats per sift level,
+   and [min_key_exn]'s float result one box per call. *)
+type fh_entry = { fkey : float; fid : int }
+
+let test_fheap_zero_alloc () =
+  let n = 512 and warm = 1_000 and cycles = 100_000 in
+  let entries = Array.init (n + warm + cycles) (fun i -> { fkey = float_of_int i; fid = i }) in
+  let h = Fheap.create ~capacity:n () in
+  for i = 0 to n - 1 do
+    Fheap.add h ~key:entries.(i).fkey ~tie:0.5 ~uid:i entries.(i)
+  done;
+  (* pop the minimum, push the next entry: keys leave in ascending order *)
+  let next = ref n and key = [| 0.0 |] and ordered = ref true in
+  let cycle () =
+    Fheap.min_key_into h key;
+    let e = Fheap.min_elt_exn h in
+    Fheap.remove_root h;
+    if key.(0) <> e.fkey || e.fid <> !next - n then ordered := false;
+    Fheap.add h ~key:entries.(!next).fkey ~tie:0.5 ~uid:!next entries.(!next);
+    incr next
+  in
+  for _ = 1 to warm do
+    cycle ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to cycles do
+    cycle ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool "pops in key order" true !ordered;
+  check_float "minor words over 100k add/pop cycles" 0.0 words
+
 let fheap_entries_gen =
   (* Small (key, tie) ranges force plenty of collisions at every
      level of the lexicographic order. *)
@@ -615,6 +650,8 @@ let () =
         [
           Alcotest.test_case "empty" `Quick test_fheap_empty;
           Alcotest.test_case "min agrees with pop" `Quick test_fheap_min_agrees_with_pop;
+          Alcotest.test_case "steady-state add/pop allocates nothing" `Quick
+            test_fheap_zero_alloc;
           q prop_fheap_pop_order_matches_reference;
           q prop_fheap_tie_uid_stability;
           q prop_fheap_interleaved;
