@@ -365,7 +365,7 @@ let allocs_per_op step ops =
    approximation in the same file as its speed. *)
 let sp_pifo_budget ~quick () =
   let module O = Sfq_oracle in
-  let pool = O.Suite.theorem_pool in
+  let pool = O.Suite.theorem_pool () in
   let n = if quick then 12 else List.length pool in
   let worst = ref O.Monitor.empty_budget in
   List.iteri

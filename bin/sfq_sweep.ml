@@ -298,7 +298,7 @@ let fastpath_cmd domains =
                 on_reweight = None;
               });
         })
-      Suite.theorem_pool
+      (Suite.theorem_pool ())
   in
   let failures = ref 0 in
   let table = Text_table.create [ "pair"; "cells"; "identical"; "wall s" ] in
@@ -365,7 +365,7 @@ let fastpath_cmd domains =
 
 let pifo_cmd domains =
   let domains = env_domains domains in
-  let pool = List.filteri (fun i _ -> i < 90) Suite.theorem_pool in
+  let pool = List.filteri (fun i _ -> i < 90) (Suite.theorem_pool ()) in
   let pifo = Suite.pifo_cells () in
   let prefixed p =
     List.filter

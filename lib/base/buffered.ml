@@ -38,7 +38,6 @@ type t = {
      stays small. *)
   seen : Packet.flow Sfq_util.Vec.t;
   seen_mem : bool Flow_table.t;
-  drop_counts : int Flow_table.t;
   mutable drops : int;
   mutable admitted : int;
 }
@@ -50,19 +49,15 @@ let wrap ?(on_drop = fun ~now:_ ~reason:_ _ -> ()) cfg inner =
     on_drop;
     seen = Sfq_util.Vec.create ();
     seen_mem = Flow_table.create ~default:(fun _ -> false);
-    drop_counts = Flow_table.create ~default:(fun _ -> 0);
     drops = 0;
     admitted = 0;
   }
 
 let drops t = t.drops
 let admitted t = t.admitted
-let drops_of t flow = Flow_table.find t.drop_counts flow
 
 let note_drop t ~now ~reason pkt =
   t.drops <- t.drops + 1;
-  Flow_table.set t.drop_counts pkt.Packet.flow
-    (Flow_table.find t.drop_counts pkt.Packet.flow + 1);
   t.on_drop ~now ~reason pkt
 
 (* Backlogs come from the inner scheduler itself, not a shadow count:

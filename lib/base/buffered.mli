@@ -68,6 +68,4 @@ val sched : t -> Sched.t
 val drops : t -> int
 (** Packets lost to the policy (both reasons). *)
 
-val drops_of : t -> Packet.flow -> int
-
 val admitted : t -> int

@@ -457,7 +457,7 @@ let default_cells ?(root = 0x7e57) () =
   grid @ [ churn_star ]
 
 let scale_star ?(flows = 1_000_000) ?(window = 4096) ?(leaves = 64) ?(reserved = 4)
-    ?(disc = Disc.Sfq_fast) ?(seed = 0x5ca1e) () =
+    ?(disc = Disc.Pifo_sfq) ?(seed = 0x5ca1e) () =
   scenario
     ~label:(Printf.sprintf "scale/star%d/%s/%dflows" leaves (Disc.name disc) flows)
     ~spec:(Topo.Star { leaves }) ~disc ~churn:true ~flows ~window ~reserved

@@ -146,7 +146,8 @@ val scale_star :
   unit ->
   scenario
 (** The E27 scaling cell: a churned star, default 10⁶ flows through a
-    4096-id window on 64 leaves, per-hop monitors off (the composed
+    4096-id window on 64 leaves under [disc] (default [Pifo_sfq], the
+    discipline the benchmark runs), per-hop monitors off (the composed
     oracle and the conservation probes stay on), load 0.75. Memory is
     bounded by the window, not the flow count — the CI job runs the
     10⁵-flow variant under an RSS ceiling. *)

@@ -45,15 +45,15 @@ let pifo_sched mode weights =
       regs;
       shaped = false;
       rank =
-        (fun ~now:_ pkt ->
-          let d = Flow_state.delta fs pkt in
-          let fprev = Flow_state.get fs pkt.Packet.flow in
+        (fun ~now:_ ~slot pkt ->
+          let d = Flow_state.delta fs ~slot pkt in
+          let fprev = Flow_state.get fs slot in
           let stag = if !v > fprev then !v else fprev in
           let ftag = Tag.sat_add stag d in
           (* the bug: Pifo_stale_state never advances the per-flow
              finish tag, so every packet re-enters at S = v and the
              weight normalization in eq. 4 is lost *)
-          if mode <> Pifo_stale_state then Flow_state.set fs pkt.Packet.flow ftag;
+          if mode <> Pifo_stale_state then Flow_state.set fs slot ftag;
           regs.aux <- ftag;
           (* the bug: Pifo_wrong_rank emits the finish tag as the rank
              — the §2.3 serve-by-F pitfall, now one token in a rank
@@ -71,7 +71,7 @@ let pifo_sched mode weights =
         (fun () -> if mode <> Pifo_no_vtime && !mfs > !v then v := !mfs);
       horizon = Rank_program.no_horizon;
       attach = Rank_program.no_attach;
-      on_close = (fun ~now:_ flow -> Flow_state.forget fs flow);
+      on_close = (fun ~now:_ ~slot _ -> Flow_state.forget fs slot);
       vtime = (fun () -> Tag.decode (Flow_state.codec fs) !v);
     }
   in

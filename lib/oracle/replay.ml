@@ -211,7 +211,7 @@ let factories (w : Workload.t) =
   ]
 
 let suite_cells ?pool ?limit () =
-  let pool = match pool with Some p -> p | None -> Suite.theorem_pool in
+  let pool = match pool with Some p -> p | None -> Suite.theorem_pool () in
   let pool =
     match limit with
     | None -> pool

@@ -7,19 +7,35 @@ let weights_of (w : Workload.t) = Weights.of_list ~default:1.0 w.Workload.weight
 (* ------------------------------------------------------------------ *)
 (* Frozen pools (fixed seeds: same traces everywhere)                   *)
 
+(* Built on first use, not at module initialisation, which every
+   process linking this library would pay for. Domain-safe where a
+   [Lazy.t] is not: racing first callers may each build the pool (the
+   same traces), and all of them return the one published first. *)
+let frozen build =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some pool -> pool
+    | None ->
+      let pool = build () in
+      if Atomic.compare_and_set cell None (Some pool) then pool
+      else Option.get (Atomic.get cell)
+
 let theorem_pool =
-  Workload.deterministic_pool ~rate_overrides:false ~seed:0x5f9 ~n:120 ()
+  frozen (fun () -> Workload.deterministic_pool ~rate_overrides:false ~seed:0x5f9 ~n:120 ())
 
 let override_pool =
-  Workload.deterministic_pool ~rate_overrides:true ~seed:0xacd ~n:120 ()
+  frozen (fun () -> Workload.deterministic_pool ~rate_overrides:true ~seed:0xacd ~n:120 ())
 
 let reweight_pool =
-  Workload.deterministic_pool ~reweights:true ~rate_overrides:false ~seed:0xbee
-    ~n:60 ()
+  frozen (fun () ->
+      Workload.deterministic_pool ~reweights:true ~rate_overrides:false ~seed:0xbee
+        ~n:60 ())
 
 let stress_pool =
-  Workload.deterministic_pool ~rate_overrides:false ~churn:true ~overload:true
-    ~rate_fluct:true ~seed:0xd1e ~n:40 ()
+  frozen (fun () ->
+      Workload.deterministic_pool ~rate_overrides:false ~churn:true ~overload:true
+        ~rate_fluct:true ~seed:0xd1e ~n:40 ())
 
 (* ------------------------------------------------------------------ *)
 (* Monitor sets                                                         *)
@@ -90,9 +106,9 @@ let sfq_driver w =
     on_reweight = None;
   }
 
-let sfq_cells ?(pool = theorem_pool) () = cells ~what:"sfq" ~driver:sfq_driver pool
+let sfq_cells ?(pool = theorem_pool ()) () = cells ~what:"sfq" ~driver:sfq_driver pool
 
-let scfq_cells ?(pool = theorem_pool) () =
+let scfq_cells ?(pool = theorem_pool ()) () =
   cells ~what:"scfq" pool ~driver:(fun w ->
       let s = Scfq.create (weights_of w) in
       {
@@ -101,7 +117,7 @@ let scfq_cells ?(pool = theorem_pool) () =
         on_reweight = None;
       })
 
-let sfq_override_cells ?(pool = override_pool) () =
+let sfq_override_cells ?(pool = override_pool ()) () =
   cells ~what:"sfq+overrides" pool ~driver:(fun w ->
       let s = Sfq.create (weights_of w) in
       {
@@ -131,7 +147,7 @@ let discipline_factories (w : Workload.t) =
     ("edd", fun () -> Delay_edd.sched (Delay_edd.create (specs ())));
   ]
 
-let structural_cells ?(pool = override_pool) () =
+let structural_cells ?(pool = override_pool ()) () =
   List.concat
     (List.mapi
        (fun i w ->
@@ -156,7 +172,7 @@ let dyn_weights (w : Workload.t) =
   in
   (wt, fun ~flow ~rate -> Hashtbl.replace tbl flow rate)
 
-let reweight_cells ?(pool = reweight_pool) () =
+let reweight_cells ?(pool = reweight_pool ()) () =
   List.concat
     (List.mapi
        (fun i w ->
@@ -185,7 +201,7 @@ let reweight_cells ?(pool = reweight_pool) () =
          ])
        pool)
 
-let stress_cells ?(pool = stress_pool) () =
+let stress_cells ?(pool = stress_pool ()) () =
   List.concat
     (List.mapi
        (fun i w ->
@@ -209,7 +225,7 @@ let stress_cells ?(pool = stress_pool) () =
    approximate by design, so it gets the structural/conservation checks
    plus the *relaxed* fairness oracle, which measures a budget and
    never fails. *)
-let fastpath_cells ?(pool = theorem_pool) () =
+let fastpath_cells ?(pool = theorem_pool ()) () =
   let open Sfq_fastpath in
   cells ~what:"sfq-fast" pool ~driver:(fun w ->
       let s = Sfq_fast.create (weights_of w) in
@@ -249,7 +265,7 @@ let fastpath_cells ?(pool = theorem_pool) () =
    the full theorem sets (equivalence with the fast path is the
    point), the clock- and GPS-driven ports carry the structural
    invariants like their float originals in [structural_cells]. *)
-let pifo_cells ?(pool = theorem_pool) () =
+let pifo_cells ?(pool = theorem_pool ()) () =
   let open Sfq_pifo in
   let pool = List.filteri (fun i _ -> i < 90) pool in
   let specs (w : Workload.t) =

@@ -9,23 +9,25 @@
     runs, Theorem 4 alone under per-packet rate overrides, eq. 56 for
     SCFQ, structural invariants for every discipline. Workload pools are
     the frozen deterministic pools of [test_oracle] — fixed seeds, same
-    traces on every machine.
+    traces on every machine. Each pool is generated on its first call
+    and shared after that, from any domain; a cell constructor given
+    an explicit [?pool] never generates one.
 
     Every constructor returns cells whose driver thunks build the
     scheduler {e and} its monitors at execution time, inside the task:
     nothing mutable escapes a cell, which is what makes the sweep safe
     to fan out over domains (see {!Run.sweep}). *)
 
-val theorem_pool : Workload.t list
+val theorem_pool : unit -> Workload.t list
 (** 120 workloads, seed 0x5f9, no rate overrides. *)
 
-val override_pool : Workload.t list
+val override_pool : unit -> Workload.t list
 (** 120 workloads, seed 0xacd, with per-packet rate overrides. *)
 
-val reweight_pool : Workload.t list
+val reweight_pool : unit -> Workload.t list
 (** 60 workloads, seed 0xbee, with mid-run weight changes. *)
 
-val stress_pool : Workload.t list
+val stress_pool : unit -> Workload.t list
 (** 40 workloads, seed 0xd1e, with flow churn, finite-buffer overload
     and server-rate fluctuation all enabled. *)
 

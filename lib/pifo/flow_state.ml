@@ -1,6 +1,8 @@
 open Sfq_base
 open Sfq_fastpath
 
+(* Every array is indexed by the runtime's link-local flow slot, not by
+   flow id, so it is sized by the flows the link carries at once. *)
 type t = {
   weights : Weights.t;
   codec : Tag.t;
@@ -16,9 +18,9 @@ let create ?frac_bits weights =
 
 let codec t = t.codec
 
-let grow t flow =
+let grow t slot =
   let n = Array.length t.tag in
-  let cap = Stdlib.max 16 (Stdlib.max (2 * n) (flow + 1)) in
+  let cap = Stdlib.max 16 (Stdlib.max (2 * n) (slot + 1)) in
   let tag = Array.make cap 0 in
   Array.blit t.tag 0 tag 0 n;
   t.tag <- tag;
@@ -26,24 +28,25 @@ let grow t flow =
   Array.blit t.sor 0 sor 0 n;
   t.sor <- sor
 
-(* Cold path: first packet of a flow activation (see Sfq_fast). *)
-let activate t flow =
-  t.sor.(flow) <- Tag.scale_over t.codec ~rate:(Weights.get t.weights flow)
+(* Cold path: first packet of a flow activation (see Sfq_fast). The
+   weight function is keyed by flow id; only the cache is per slot. *)
+let activate t slot pkt =
+  t.sor.(slot) <- Tag.scale_over t.codec ~rate:(Weights.get t.weights pkt.Packet.flow)
 
-(* Unit-returning on purpose: callers re-read [t.sor.(flow)] locally.
+(* Unit-returning on purpose: callers re-read [t.sor.(slot)] locally.
    A float-returning helper would box its result on every call
    (ocamlopt only unboxes floats within a body), costing 2 minor words
    per enqueue — the alloc gate in test_pifo_equiv watches this. *)
-let ensure t flow =
-  if flow >= Array.length t.tag then grow t flow;
-  if t.sor.(flow) <= 0.0 then activate t flow
+let ensure t slot pkt =
+  if slot >= Array.length t.tag then grow t slot;
+  if t.sor.(slot) <= 0.0 then activate t slot pkt
 
 (* The delta multiply+round is written out inline in both branches, as
    in the hand-written fast-path schedulers, so no float crosses a
    function boundary on the steady path. *)
-let delta t pkt =
-  ensure t pkt.Packet.flow;
-  let sor = t.sor.(pkt.Packet.flow) in
+let delta t ~slot pkt =
+  ensure t slot pkt;
+  let sor = t.sor.(slot) in
   match pkt.Packet.rate with
   | None ->
     let x = Float.round (float_of_int pkt.Packet.len *. sor) in
@@ -58,15 +61,6 @@ let delta t pkt =
       let i = int_of_float x in
       if i < 1 then 1 else i
 
-let delta_reserved t pkt =
-  ensure t pkt.Packet.flow;
-  let sor = t.sor.(pkt.Packet.flow) in
-  let x = Float.round (float_of_int pkt.Packet.len *. sor) in
-  if x >= Tag.max_tag_f then Tag.max_tag
-  else
-    let i = int_of_float x in
-    if i < 1 then 1 else i
-
 (* Fused per-packet updates for the common rank-program shapes. Each
    does the whole grow/activate/delta/read/max/add/store sequence in
    one body behind a single module-boundary call, mirroring the
@@ -76,14 +70,13 @@ let delta_reserved t pkt =
    bench validator budgets. The stored tag lands in [t.last] so the
    caller can publish it (e.g. into [regs.aux]) without a tuple. *)
 
-let advance t ~floor pkt =
-  let flow = pkt.Packet.flow in
-  if flow >= Array.length t.tag then grow t flow;
-  if t.sor.(flow) <= 0.0 then activate t flow;
+let advance t ~slot ~floor pkt =
+  if slot >= Array.length t.tag then grow t slot;
+  if t.sor.(slot) <= 0.0 then activate t slot pkt;
   let d =
     match pkt.Packet.rate with
     | None ->
-      let x = Float.round (float_of_int pkt.Packet.len *. t.sor.(flow)) in
+      let x = Float.round (float_of_int pkt.Packet.len *. t.sor.(slot)) in
       if x >= Tag.max_tag_f then Tag.max_tag
       else
         let i = int_of_float x in
@@ -95,39 +88,37 @@ let advance t ~floor pkt =
         let i = int_of_float x in
         if i < 1 then 1 else i
   in
-  let fprev = t.tag.(flow) in
+  let fprev = t.tag.(slot) in
   let stag = if floor > fprev then floor else fprev in
   let ftag = Tag.sat_add stag d in
-  t.tag.(flow) <- ftag;
+  t.tag.(slot) <- ftag;
   t.last <- ftag;
   stag
 
-let advance_reserved t ~floor pkt =
-  let flow = pkt.Packet.flow in
-  if flow >= Array.length t.tag then grow t flow;
-  if t.sor.(flow) <= 0.0 then activate t flow;
+let advance_reserved t ~slot ~floor pkt =
+  if slot >= Array.length t.tag then grow t slot;
+  if t.sor.(slot) <= 0.0 then activate t slot pkt;
   let d =
-    let x = Float.round (float_of_int pkt.Packet.len *. t.sor.(flow)) in
+    let x = Float.round (float_of_int pkt.Packet.len *. t.sor.(slot)) in
     if x >= Tag.max_tag_f then Tag.max_tag
     else
       let i = int_of_float x in
       if i < 1 then 1 else i
   in
-  let fprev = t.tag.(flow) in
+  let fprev = t.tag.(slot) in
   let stag = if floor > fprev then floor else fprev in
   let ftag = Tag.sat_add stag d in
-  t.tag.(flow) <- ftag;
+  t.tag.(slot) <- ftag;
   t.last <- ftag;
   stag
 
-let advance_eat t ~now pkt =
-  let flow = pkt.Packet.flow in
-  if flow >= Array.length t.tag then grow t flow;
-  if t.sor.(flow) <= 0.0 then activate t flow;
+let advance_eat t ~slot ~now pkt =
+  if slot >= Array.length t.tag then grow t slot;
+  if t.sor.(slot) <= 0.0 then activate t slot pkt;
   let d =
     match pkt.Packet.rate with
     | None ->
-      let x = Float.round (float_of_int pkt.Packet.len *. t.sor.(flow)) in
+      let x = Float.round (float_of_int pkt.Packet.len *. t.sor.(slot)) in
       if x >= Tag.max_tag_f then Tag.max_tag
       else
         let i = int_of_float x in
@@ -143,20 +134,20 @@ let advance_eat t ~now pkt =
     let x = Float.round (now *. t.scale) in
     if x >= Tag.max_tag_f then Tag.max_tag else if x <= 0.0 then 0 else int_of_float x
   in
-  let fl = t.tag.(flow) in
+  let fl = t.tag.(slot) in
   let eat = if nt > fl then nt else fl in
   let stamp = Tag.sat_add eat d in
-  t.tag.(flow) <- stamp;
+  t.tag.(slot) <- stamp;
   t.last <- stamp;
   eat
 
 let last t = t.last
 
-let get t flow = if flow < Array.length t.tag then t.tag.(flow) else 0
+let get t slot = if slot < Array.length t.tag then t.tag.(slot) else 0
 
-let set t flow v =
-  if flow >= Array.length t.tag then grow t flow;
-  t.tag.(flow) <- v
+let set t slot v =
+  if slot >= Array.length t.tag then grow t slot;
+  t.tag.(slot) <- v
 
 let now_tag t now =
   let x = Float.round (now *. t.scale) in
@@ -164,8 +155,8 @@ let now_tag t now =
 
 let clear t = Array.fill t.tag 0 (Array.length t.tag) 0
 
-let forget t flow =
-  if flow >= 0 && flow < Array.length t.tag then begin
-    t.tag.(flow) <- 0;
-    t.sor.(flow) <- 0.0
+let forget t slot =
+  if slot >= 0 && slot < Array.length t.tag then begin
+    t.tag.(slot) <- 0;
+    t.sor.(slot) <- 0.0
   end

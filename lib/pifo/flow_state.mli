@@ -1,19 +1,24 @@
-(** Dense fixed-point per-flow state for rank programs.
+(** Dense fixed-point per-flow state for rank programs, indexed by the
+    runtime's link-local flow slot.
 
     The factored-out array layout of {!Sfq_fastpath.Sfq_fast}: one int
-    tag slot per flow (finish tag, EAT floor — whatever the program
-    stores) and a cached [scale /. rate] float so a packet's virtual
-    length is one multiply + round. Every operation keeps its floats
-    internal — arguments and results are ints or pointers — so a rank
-    program built on this module stays allocation-free in steady state
-    even across the module boundary (nothing here forces a float box).
+    tag per slot (finish tag, EAT floor — whatever the program stores)
+    and a cached [scale /. rate] float so a packet's virtual length is
+    one multiply + round. {!Pifo_sched} hands every rank-program hook
+    the flow's slot ({!Sfq_util.Slot_map}): slots are assigned on a
+    flow's first enqueue at the link and freed when it closes, so these
+    arrays are sized by the flows the link carries at once, not by the
+    largest flow id. Every operation keeps its floats internal —
+    arguments and results are ints or pointers — so a rank program
+    built on this module stays allocation-free in steady state even
+    across the module boundary (nothing here forces a float box).
 
-    Growth, activation (first packet of a flow since creation or
-    close) and the [Weights.get] snapshot behave exactly as in the
+    Growth, activation (first packet in a slot since creation or
+    {!forget}) and the [Weights.get] snapshot behave exactly as in the
     hand-written fast-path schedulers: the weight function is read
-    once per flow activation and cached until {!forget}, which is the
-    documented fast-path divergence from the float originals under
-    mid-backlog reweighting. *)
+    (by the packet's flow id) once per flow activation and cached until
+    {!forget}, which is the documented fast-path divergence from the
+    float originals under mid-backlog reweighting. *)
 
 open Sfq_base
 
@@ -25,23 +30,18 @@ val create : ?frac_bits:int -> Weights.t -> t
 
 val codec : t -> Sfq_fastpath.Tag.t
 
-val delta : t -> Packet.t -> int
+val delta : t -> slot:int -> Packet.t -> int
 (** The packet's tag increment [round (len * scale / rate)], clamped to
-    [[1, Tag.max_tag]]. Uses the cached flow rate, activating the flow
-    (one [Weights.get] call) if this is its first packet; a per-packet
-    rate override ([pkt.rate = Some r]) replaces the flow rate for this
-    packet only. Grows the arrays as needed.
+    [[1, Tag.max_tag]]. Uses the slot's cached rate, activating it (one
+    [Weights.get] call on [pkt.flow]) if this is the flow's first
+    packet; a per-packet rate override ([pkt.rate = Some r]) replaces
+    the flow rate for this packet only. Grows the arrays as needed.
     @raise Invalid_argument if the flow's rate is [<= 0]. *)
 
-val delta_reserved : t -> Packet.t -> int
-(** Like {!delta} but ignoring per-packet rate overrides — SCFQ prices
-    every packet at the flow's reserved rate, as the float original
-    does. *)
-
-val advance : t -> floor:int -> Packet.t -> int
+val advance : t -> slot:int -> floor:int -> Packet.t -> int
 (** Fused SFQ-shape update in one call: grow/activate as needed,
     compute the packet's {!delta} [d] (honouring a per-packet rate
-    override), read the flow's previous tag [fprev], take
+    override), read the slot's previous tag [fprev], take
     [stag = max floor fprev], store [sat_add stag d] back into the
     slot, and return [stag]. The stored finish tag is readable via
     {!last}. Semantically identical to
@@ -50,13 +50,13 @@ val advance : t -> floor:int -> Packet.t -> int
     hot path's answer to the hand-written schedulers' inlined
     enqueue. *)
 
-val advance_reserved : t -> floor:int -> Packet.t -> int
+val advance_reserved : t -> slot:int -> floor:int -> Packet.t -> int
 (** {!advance} pricing every packet at the flow's reserved rate
     (ignoring per-packet overrides) — the SCFQ convention. *)
 
-val advance_eat : t -> now:float -> Packet.t -> int
+val advance_eat : t -> slot:int -> now:float -> Packet.t -> int
 (** Fused Virtual-Clock-shape update: compute [d] (honouring rate
-    overrides) and [nt = now_tag now], read the flow's EAT floor
+    overrides) and [nt = now_tag now], read the slot's EAT floor
     [fl], take [eat = max nt fl], store [sat_add eat d], and return
     [eat]. The stored stamp is readable via {!last}. *)
 
@@ -65,11 +65,12 @@ val last : t -> int
     [advance_eat] call (0 before the first) — lets a rank program
     publish the secondary output without tupling. *)
 
-val get : t -> Packet.flow -> int
-(** The flow's tag slot (0 if never written — matching the float
+val get : t -> int -> int
+(** The slot's tag (0 if never written — matching the float
     schedulers' [F = 0] / clamped EAT-floor defaults). *)
 
-val set : t -> Packet.flow -> int -> unit
+val set : t -> int -> int -> unit
+(** [set t slot tag]. *)
 
 val now_tag : t -> float -> int
 (** Real time encoded as a tag: [round (now * scale)], negative clocks
@@ -77,8 +78,9 @@ val now_tag : t -> float -> int
     {!Sfq_fastpath.Virtual_clock_fast} convention. *)
 
 val clear : t -> unit
-(** Zero every tag slot, keeping rate caches — SCFQ's idle reset. *)
+(** Zero every tag, keeping rate caches — SCFQ's idle reset. *)
 
-val forget : t -> Packet.flow -> unit
-(** Flow closure: zero the flow's tag slot and drop its cached rate so
-    a reopened id re-reads the weight function. *)
+val forget : t -> int -> unit
+(** Flow closure: zero the slot's tag and drop its cached rate, so the
+    next flow given this slot starts fresh and re-reads the weight
+    function. A negative slot (a flow that held none) is a no-op. *)

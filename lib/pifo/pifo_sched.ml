@@ -10,18 +10,23 @@ type t = {
      [t.prog.Rank_program.rank] is two dependent loads per packet,
      [t.rank] is one — the kind of indirection the bench validator's
      dispatch-premium budget charges for. *)
-  rank : now:float -> Packet.t -> int;
+  rank : now:float -> slot:int -> Packet.t -> int;
   on_dequeue : key:int -> aux:int -> empty:bool -> unit;
   on_idle : unit -> unit;
   horizon : now:float -> int;
   shaped : bool;
   tie : Tag_queue.tie;
   arrival : bool;  (* tie = Arrival: the encoded tie is always 0 *)
-  main : Packet.t Iflow_heap.t;  (* unshaped service stage *)
-  shaper : Packet.t Iflow_heap.t;  (* shaped: eligibility stage *)
+  (* Flow id -> link-local slot, assigned on a flow's first enqueue and
+     freed by close_flow. Every per-flow structure below and in the
+     program is indexed by slot, so it is sized by the flows this
+     runtime holds at once, not by the largest flow id. *)
+  slots : Slot_map.t;
+  main : Packet.t Iflow_heap.t;  (* unshaped service stage, keyed by slot *)
+  shaper : Packet.t Iflow_heap.t;  (* shaped: eligibility stage, keyed by slot *)
   eligible : Packet.t Iheap.t;  (* shaped: service stage *)
-  mutable counts : int array;  (* shaped per-flow backlog *)
-  (* Per-flow encoded tie cache, filled on first use and reset by
+  mutable counts : int array;  (* shaped per-slot backlog *)
+  (* Per-slot encoded tie cache, filled on first use and reset by
      close_flow — the same activation snapshot the hand-written fast
      path takes. *)
   mutable ties : int array;
@@ -36,9 +41,9 @@ let tie_value tie flow =
   | Low_rate w -> w flow
   | High_rate w -> -.w flow
 
-let grow_ties t flow =
+let grow_ties t slot =
   let n = Array.length t.ties in
-  let cap = Stdlib.max 16 (Stdlib.max (2 * n) (flow + 1)) in
+  let cap = Stdlib.max 16 (Stdlib.max (2 * n) (slot + 1)) in
   let ties = Array.make cap 0 in
   Array.blit t.ties 0 ties 0 n;
   t.ties <- ties;
@@ -46,29 +51,34 @@ let grow_ties t flow =
   Array.blit t.tie_ok 0 ok 0 n;
   t.tie_ok <- ok
 
-let tie_of t flow =
+(* The tie value is the flow's (Low_rate/High_rate read the weight by
+   flow id); only the cache is per slot. *)
+let tie_of t ~slot flow =
   if t.arrival then 0
   else begin
-    if flow >= Array.length t.ties then grow_ties t flow;
-    if t.tie_ok.(flow) then t.ties.(flow)
+    if slot >= Array.length t.ties then grow_ties t slot;
+    if t.tie_ok.(slot) then t.ties.(slot)
     else begin
       let e = Tag.tie_encode (tie_value t.tie flow) in
-      t.ties.(flow) <- e;
-      t.tie_ok.(flow) <- true;
+      t.ties.(slot) <- e;
+      t.tie_ok.(slot) <- true;
       e
     end
   end
 
-let grow_counts t flow =
+(* The tie of a slot that has queued entries, hence a filled cache. *)
+let cached_tie t slot = if t.arrival then 0 else t.ties.(slot)
+
+let grow_counts t slot =
   let n = Array.length t.counts in
-  let cap = Stdlib.max 16 (Stdlib.max (2 * n) (flow + 1)) in
+  let cap = Stdlib.max 16 (Stdlib.max (2 * n) (slot + 1)) in
   let counts = Array.make cap 0 in
   Array.blit t.counts 0 counts 0 n;
   t.counts <- counts
 
-let bump t flow d =
-  if flow >= Array.length t.counts then grow_counts t flow;
-  t.counts.(flow) <- t.counts.(flow) + d
+let bump t slot d =
+  if slot >= Array.length t.counts then grow_counts t slot;
+  t.counts.(slot) <- t.counts.(slot) + d
 
 let size t =
   if t.shaped then Iflow_heap.size t.shaper + Iheap.length t.eligible
@@ -76,10 +86,13 @@ let size t =
 
 let is_empty t = size t = 0
 
+(* Lookups by flow id ([backlog], [evict], [close_flow]) never assign a
+   slot: a flow without one has nothing queued. *)
 let backlog t flow =
-  if t.shaped then
-    if flow >= 0 && flow < Array.length t.counts then t.counts.(flow) else 0
-  else Iflow_heap.backlog t.main flow
+  let slot = Slot_map.find t.slots flow in
+  if slot < 0 then 0
+  else if t.shaped then if slot < Array.length t.counts then t.counts.(slot) else 0
+  else Iflow_heap.backlog t.main slot
 
 let create ?(tie = Tag_queue.Arrival) ?capacity prog =
   let t =
@@ -93,6 +106,7 @@ let create ?(tie = Tag_queue.Arrival) ?capacity prog =
       shaped = prog.Rank_program.shaped;
       tie;
       arrival = (match tie with Tag_queue.Arrival -> true | _ -> false);
+      slots = Slot_map.create ();
       main = Iflow_heap.create ?capacity ();
       shaper = Iflow_heap.create ?capacity ();
       eligible = Iheap.create ();
@@ -114,16 +128,17 @@ let clamp_rank k = if k < 0 then 0 else if k > Tag.max_tag then Tag.max_tag else
 let enqueue t ~now pkt =
   let flow = pkt.Packet.flow in
   if flow < 0 then invalid_arg "Pifo_sched.enqueue: flow id must be >= 0";
-  let tie = if t.arrival then 0 else tie_of t flow in
-  let key = clamp_rank (t.rank ~now pkt) in
+  let slot = Slot_map.find_or_add t.slots flow in
+  let tie = if t.arrival then 0 else tie_of t ~slot flow in
+  let key = clamp_rank (t.rank ~now ~slot pkt) in
   if key > t.high then t.high <- key;
   if t.shaped then begin
     if now > t.last_now then t.last_now <- now;
     let ekey = clamp_rank t.regs.Rank_program.eligible in
-    Iflow_heap.push t.shaper ~flow ~key:ekey ~aux:key ~tie pkt;
-    bump t flow 1
+    Iflow_heap.push t.shaper ~flow:slot ~key:ekey ~aux:key ~tie pkt;
+    bump t slot 1
   end
-  else Iflow_heap.push t.main ~flow ~key ~aux:t.regs.Rank_program.aux ~tie pkt
+  else Iflow_heap.push t.main ~flow:slot ~key ~aux:t.regs.Rank_program.aux ~tie pkt
 
 (* Shaped stage transfer: entries whose eligibility rank the horizon
    has passed move to the service heap keyed by their service rank
@@ -140,7 +155,7 @@ let promote t ~now =
       let pkt = Iflow_heap.pop_exn t.shaper in
       Iheap.add t.eligible
         ~key:(Iflow_heap.last_aux t.shaper)
-        ~tie:(tie_of t (Iflow_heap.last_flow t.shaper))
+        ~tie:(cached_tie t (Iflow_heap.last_flow t.shaper))
         ~uid:(Iflow_heap.last_uid t.shaper)
         pkt;
       go ()
@@ -154,7 +169,7 @@ let dequeue_shaped t ~now =
     let key = Iheap.min_key_exn t.eligible in
     let pkt = Iheap.min_elt_exn t.eligible in
     Iheap.remove_root t.eligible;
-    bump t pkt.Packet.flow (-1);
+    bump t (Slot_map.find t.slots pkt.Packet.flow) (-1);
     t.on_dequeue ~key ~aux:0
       ~empty:(Iheap.length t.eligible = 0 && Iflow_heap.is_empty t.shaper);
     Some pkt
@@ -163,7 +178,7 @@ let dequeue_shaped t ~now =
     (* Work conservation: nothing eligible, serve the earliest
        eligibility rank rather than idling. *)
     let pkt = Iflow_heap.pop_exn t.shaper in
-    bump t pkt.Packet.flow (-1);
+    bump t (Iflow_heap.last_flow t.shaper) (-1);
     t.on_dequeue
       ~key:(Iflow_heap.last_aux t.shaper)
       ~aux:0
@@ -223,7 +238,9 @@ let peek t =
    Oldest looks in the service heap first and Newest in the shaper
    first. *)
 let evict t victim flow =
-  if t.shaped then begin
+  let slot = Slot_map.find t.slots flow in
+  if slot < 0 then None
+  else if t.shaped then begin
     let pred p = p.Packet.flow = flow in
     let found =
       match (victim : Sched.victim) with
@@ -231,31 +248,36 @@ let evict t victim flow =
         match Iheap.remove_matching t.eligible ~pred with
         | Some (_, p) -> Some p
         | None -> (
-          match Iflow_heap.evict_front t.shaper flow with
+          match Iflow_heap.evict_front t.shaper slot with
           | Some e -> Some e.Iflow_heap.value
           | None -> None))
       | Sched.Newest -> (
-        match Iflow_heap.evict_back t.shaper flow with
+        match Iflow_heap.evict_back t.shaper slot with
         | Some e -> Some e.Iflow_heap.value
         | None -> (
           match Iheap.remove_matching ~newest:true t.eligible ~pred with
           | Some (_, p) -> Some p
           | None -> None))
     in
-    (match found with Some _ -> bump t flow (-1) | None -> ());
+    (match found with Some _ -> bump t slot (-1) | None -> ());
     found
   end
   else
     let popped =
       match (victim : Sched.victim) with
-      | Sched.Oldest -> Iflow_heap.evict_front t.main flow
-      | Sched.Newest -> Iflow_heap.evict_back t.main flow
+      | Sched.Oldest -> Iflow_heap.evict_front t.main slot
+      | Sched.Newest -> Iflow_heap.evict_back t.main slot
     in
     match popped with None -> None | Some p -> Some p.Iflow_heap.value
 
+(* Closing frees the flow's slot, so the next flow given it must find
+   it fresh: the runtime clears its own per-slot state here and the
+   program clears its own in [on_close]. *)
 let close_flow t ~now flow =
+  let slot = Slot_map.remove t.slots flow in
   let flushed =
-    if t.shaped then begin
+    if slot < 0 then []
+    else if t.shaped then begin
       let pred p = p.Packet.flow = flow in
       let rec drain acc =
         match Iheap.remove_matching t.eligible ~pred with
@@ -266,19 +288,18 @@ let close_flow t ~now flow =
          out oldest first and precede everything still in the shaper *)
       let released = drain [] in
       let waiting =
-        List.map (fun e -> e.Iflow_heap.value) (Iflow_heap.flush_flow t.shaper flow)
+        List.map (fun e -> e.Iflow_heap.value) (Iflow_heap.flush_flow t.shaper slot)
       in
-      if flow >= 0 && flow < Array.length t.counts then t.counts.(flow) <- 0;
+      if slot < Array.length t.counts then t.counts.(slot) <- 0;
       released @ waiting
     end
-    else
-      List.map (fun p -> p.Iflow_heap.value) (Iflow_heap.flush_flow t.main flow)
+    else List.map (fun p -> p.Iflow_heap.value) (Iflow_heap.flush_flow t.main slot)
   in
-  if flow >= 0 && flow < Array.length t.ties then begin
-    t.ties.(flow) <- 0;
-    t.tie_ok.(flow) <- false
+  if slot >= 0 && slot < Array.length t.ties then begin
+    t.ties.(slot) <- 0;
+    t.tie_ok.(slot) <- false
   end;
-  t.prog.Rank_program.on_close ~now flow;
+  t.prog.Rank_program.on_close ~now ~slot flow;
   flushed
 
 let vtime t = t.prog.Rank_program.vtime ()

@@ -8,8 +8,22 @@
     saturation rail — ranks saturate, never wrap), FIFO-stable tie
     resolution (the {!Sfq_sched.Iflow_heap} [(key, tie, uid)] contract,
     with per-flow tie values cached at activation exactly like the
-    hand-written fast path), the PR 5 evict/close lifecycle, and the
-    optional two-stage shaper for {!Rank_program.shaped} disciplines.
+    hand-written fast path), the evict/close lifecycle (DESIGN.md §10),
+    and the optional two-stage shaper for {!Rank_program.shaped}
+    disciplines.
+
+    Flow slots: a flow gets a small link-local slot
+    ({!Sfq_util.Slot_map}) on its first enqueue and gives it up in
+    {!close_flow}; a freed slot is the next one handed out. The tie
+    cache, the shaped backlog counts, the [Iflow_heap] rings and the
+    program's own per-flow arrays (through the [~slot] argument of
+    {!Rank_program.t.rank} and {!Rank_program.t.on_close}) are all
+    indexed by slot. So one instance's memory is sized by the flows it
+    holds at once — on a network link, the flows that link carries —
+    not by the largest flow id anywhere. {!backlog}, {!evict} and
+    {!close_flow} only look a flow's slot up; they never assign one.
+    Slots change no order: service is by [(rank, tie, uid)], and the
+    tie value is still computed from the flow id.
 
     Layout per stage:
     - unshaped: a single {!Sfq_sched.Iflow_heap} (per-flow FIFO rings,
@@ -26,9 +40,10 @@
       instead (work conservation).
 
     Eviction removes packets without rolling tags back (the flow keeps
-    its virtual-time charge, eq. 4); closing flushes the flow, resets
-    the runtime's tie cache and then hands the flow id to the
-    program's [on_close]. *)
+    its virtual-time charge, eq. 4); closing flushes the flow, frees its
+    slot, resets the runtime's tie cache for it and then calls the
+    program's [on_close] with the freed slot ([-1] if the flow held
+    none) and the flow id. *)
 
 open Sfq_base
 
@@ -58,9 +73,15 @@ val peek : t -> Packet.t option
 val size : t -> int
 val is_empty : t -> bool
 val backlog : t -> Packet.flow -> int
+(** 0 for a flow that holds no slot. *)
 
 val evict : t -> Sched.victim -> Packet.flow -> Packet.t option
+(** [None] for a flow that holds no slot. Keeps the flow's slot (and
+    with it its tags) even when the eviction empties its queue. *)
+
 val close_flow : t -> now:float -> Packet.flow -> Packet.t list
+(** Flush the flow's packets (oldest first), free its slot and call
+    the program's [on_close]. *)
 
 val vtime : t -> float
 (** The program's decoded virtual time (0 for clockless programs). *)

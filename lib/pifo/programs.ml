@@ -13,8 +13,8 @@ let sfq ?(busy_rule = Sfq_core.Sfq.Idle_poll) ?frac_bits weights =
     regs;
     shaped = false;
     rank =
-      (fun ~now:_ pkt ->
-        let stag = Flow_state.advance fs ~floor:!v pkt in
+      (fun ~now:_ ~slot pkt ->
+        let stag = Flow_state.advance fs ~slot ~floor:!v pkt in
         regs.aux <- Flow_state.last fs;
         stag);
     on_dequeue =
@@ -26,7 +26,7 @@ let sfq ?(busy_rule = Sfq_core.Sfq.Idle_poll) ?frac_bits weights =
     on_idle = (fun () -> if !mfs > !v then v := !mfs);
     horizon = no_horizon;
     attach = no_attach;
-    on_close = (fun ~now:_ flow -> Flow_state.forget fs flow);
+    on_close = (fun ~now:_ ~slot _ -> Flow_state.forget fs slot);
     vtime = (fun () -> Tag.decode (Flow_state.codec fs) !v);
   }
 
@@ -39,8 +39,8 @@ let scfq ?frac_bits weights =
     regs;
     shaped = false;
     rank =
-      (fun ~now:_ pkt ->
-        ignore (Flow_state.advance_reserved fs ~floor:!v pkt : int);
+      (fun ~now:_ ~slot pkt ->
+        ignore (Flow_state.advance_reserved fs ~slot ~floor:!v pkt : int);
         let ftag = Flow_state.last fs in
         regs.aux <- ftag;
         (* SCFQ serves in finish-tag order: the finish tag is the rank. *)
@@ -53,7 +53,7 @@ let scfq ?frac_bits weights =
         Flow_state.clear fs);
     horizon = no_horizon;
     attach = no_attach;
-    on_close = (fun ~now:_ flow -> Flow_state.forget fs flow);
+    on_close = (fun ~now:_ ~slot _ -> Flow_state.forget fs slot);
     vtime = (fun () -> Tag.decode (Flow_state.codec fs) !v);
   }
 
@@ -65,15 +65,15 @@ let virtual_clock ?frac_bits weights =
     regs;
     shaped = false;
     rank =
-      (fun ~now pkt ->
-        let eat = Flow_state.advance_eat fs ~now pkt in
+      (fun ~now ~slot pkt ->
+        let eat = Flow_state.advance_eat fs ~slot ~now pkt in
         regs.aux <- eat;
         Flow_state.last fs);
     on_dequeue = no_dequeue;
     on_idle = no_idle;
     horizon = no_horizon;
     attach = no_attach;
-    on_close = (fun ~now:_ flow -> Flow_state.forget fs flow);
+    on_close = (fun ~now:_ ~slot _ -> Flow_state.forget fs slot);
     vtime = no_vtime;
   }
 
@@ -103,11 +103,11 @@ let delay_edd ?frac_bits specs =
     regs;
     shaped = false;
     rank =
-      (fun ~now pkt ->
+      (fun ~now ~slot pkt ->
         (* activation happens first inside advance_eat, so an
            undeclared flow raises before any state moves, as in the
            float original *)
-        let eat = Flow_state.advance_eat fs ~now pkt in
+        let eat = Flow_state.advance_eat fs ~slot ~now pkt in
         regs.aux <- eat;
         Tag.sat_add eat (Hashtbl.find dl pkt.Packet.flow));
     on_dequeue = no_dequeue;
@@ -115,7 +115,7 @@ let delay_edd ?frac_bits specs =
     horizon = no_horizon;
     attach = no_attach;
     (* the spec stays (configuration, not state); the EAT floor resets *)
-    on_close = (fun ~now:_ flow -> Flow_state.forget fs flow);
+    on_close = (fun ~now:_ ~slot _ -> Flow_state.forget fs slot);
     vtime = no_vtime;
   }
 
@@ -131,7 +131,7 @@ let lstf ?frac_bits ?(residual = fun _ -> 0.0) ~deadline () =
     regs;
     shaped = false;
     rank =
-      (fun ~now:_ pkt ->
+      (fun ~now:_ ~slot:_ pkt ->
         let r = Tag.encode codec (deadline pkt -. residual pkt) in
         let r =
           match Hashtbl.find_opt floor pkt.Packet.flow with
@@ -147,7 +147,7 @@ let lstf ?frac_bits ?(residual = fun _ -> 0.0) ~deadline () =
     (* evict needs no hook (the floor stays — tags never roll back);
        closing forgets it so a reopened flow re-enters on raw
        deadlines *)
-    on_close = (fun ~now:_ flow -> Hashtbl.remove floor flow);
+    on_close = (fun ~now:_ ~slot:_ flow -> Hashtbl.remove floor flow);
     vtime = no_vtime;
   }
 
@@ -163,7 +163,7 @@ let fqs ~capacity ?frac_bits weights =
     regs;
     shaped = false;
     rank =
-      (fun ~now pkt ->
+      (fun ~now ~slot:_ pkt ->
         let stag, _ftag = Gps.on_arrival gps ~now pkt in
         Tag.encode codec stag);
     on_dequeue = no_dequeue;
@@ -172,7 +172,7 @@ let fqs ~capacity ?frac_bits weights =
     attach = (fun f -> size_ref := f);
     (* the fluid system is not told about evictions; closing does
        forget the flow fluid-side *)
-    on_close = (fun ~now flow -> Gps.forget_flow gps ~now flow);
+    on_close = (fun ~now ~slot:_ flow -> Gps.forget_flow gps ~now flow);
     vtime = no_vtime;
   }
 
@@ -188,7 +188,7 @@ let wf2q ~capacity ?frac_bits weights =
     regs;
     shaped = true;
     rank =
-      (fun ~now pkt ->
+      (fun ~now ~slot:_ pkt ->
         let stag, ftag = Gps.on_arrival gps ~now pkt in
         regs.eligible <- Tag.encode codec stag;
         Tag.encode codec ftag);
@@ -197,6 +197,6 @@ let wf2q ~capacity ?frac_bits weights =
     (* the float two-stage scheduler promotes while S <= v + 1e-12 *)
     horizon = (fun ~now -> Tag.encode codec (Gps.vtime gps ~now +. 1e-12));
     attach = (fun f -> size_ref := f);
-    on_close = (fun ~now flow -> Gps.forget_flow gps ~now flow);
+    on_close = (fun ~now ~slot:_ flow -> Gps.forget_flow gps ~now flow);
     vtime = no_vtime;
   }

@@ -6,12 +6,12 @@ type t = {
   name : string;
   regs : regs;
   shaped : bool;
-  rank : now:float -> Packet.t -> int;
+  rank : now:float -> slot:int -> Packet.t -> int;
   on_dequeue : key:int -> aux:int -> empty:bool -> unit;
   on_idle : unit -> unit;
   horizon : now:float -> int;
   attach : (unit -> int) -> unit;
-  on_close : now:float -> Packet.flow -> unit;
+  on_close : now:float -> slot:int -> Packet.flow -> unit;
   vtime : unit -> float;
 }
 
@@ -20,5 +20,5 @@ let no_dequeue ~key:_ ~aux:_ ~empty:_ = ()
 let no_idle () = ()
 let no_horizon ~now:_ = 0
 let no_attach _ = ()
-let no_close ~now:_ (_ : Packet.flow) = ()
+let no_close ~now:_ ~slot:_ (_ : Packet.flow) = ()
 let no_vtime () = 0.0

@@ -51,8 +51,13 @@ type t = {
   shaped : bool;
       (** two-stage discipline: packets wait in a shaper until
           [horizon] reaches their [regs.eligible] rank *)
-  rank : now:float -> Packet.t -> int;
-      (** per-packet rank computation (enqueue time). Returns the
+  rank : now:float -> slot:int -> Packet.t -> int;
+      (** per-packet rank computation (enqueue time). [slot] is the
+          packet's flow slot: a small int, unique among the flows the
+          runtime holds, assigned on the flow's first enqueue and freed
+          when it closes (see {!Pifo_sched}). Per-flow state kept in
+          arrays indexed by slot ({!Flow_state}) is sized by the flows
+          the link carries, not by the largest flow id. Returns the
           service rank; may write {!regs}. *)
   on_dequeue : key:int -> aux:int -> empty:bool -> unit;
       (** served-packet hook: [key] is the entry's service rank, [aux]
@@ -69,9 +74,14 @@ type t = {
       (** called once by {!Pifo_sched.create} with the runtime's
           [size] thunk, for programs whose clock needs to observe real
           queue occupancy (the GPS busy-period guard). *)
-  on_close : now:float -> Packet.flow -> unit;
+  on_close : now:float -> slot:int -> Packet.flow -> unit;
       (** forget the flow's per-flow state (finish tag, EAT floor,
-          fluid backlog) after the runtime flushed its packets. *)
+          fluid backlog) after the runtime flushed its packets. [slot]
+          is the slot the flow just gave up — the next flow to be given
+          it must find it fresh — or [-1] when the flow held none
+          (closed without a packet since its last close). State keyed
+          by flow id (LSTF's rank floor, the GPS clocks) forgets the
+          flow either way. *)
   vtime : unit -> float;
       (** decoded virtual time, for the oracle monitors; programs
           without a virtual clock return 0. *)
@@ -87,5 +97,5 @@ val no_horizon : now:float -> int
 (** Always 0; placeholder for unshaped programs. *)
 
 val no_attach : (unit -> int) -> unit
-val no_close : now:float -> Packet.flow -> unit
+val no_close : now:float -> slot:int -> Packet.flow -> unit
 val no_vtime : unit -> float

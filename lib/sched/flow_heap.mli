@@ -68,14 +68,20 @@ val evict_back : 'a t -> Packet.flow -> 'a popped option
     flow empties (then its heap entry is removed, O(F)). *)
 
 val flush_flow : 'a t -> Packet.flow -> 'a popped list
-(** Remove every queued entry of [flow], oldest first, and take the
-    flow's ring away: the id then behaves as fresh (backlog 0, FIFO, the
-    pop order of a new store). A ring that never grew past its initial
-    8 slots is emptied and kept for the next flow that needs one, so
-    recycling ids allocates no rings; a ring that grew is discarded, so
-    a burst's peak capacity is released. Returns [[]] for an unknown or
-    empty flow. *)
+(** Remove every queued entry of [flow], oldest first, and take its
+    ring away, grown or not (see {!ring_capacity}): the flow then
+    behaves as fresh (backlog 0, FIFO, the pop order of a new store).
+    Returns [[]] for an unknown or empty flow. *)
 
 val ring_capacity : 'a t -> Packet.flow -> int
-(** Allocated ring slots for [flow] (0 when it holds no ring) — exposed
-    so churn tests can assert {!flush_flow} releases burst capacity. *)
+(** Allocated ring slots for [flow] (0 when it holds no ring). The pop
+    or eviction that empties a flow's queue takes its 8-slot ring away,
+    so an idle flow holds no ring — only its caller-side state, such as
+    SFQ's finish tag (eq. 4). The ring goes to a spare pool, cleared,
+    and the next flow that needs a ring takes it from there, so a churn
+    of short-lived flows allocates no rings. A ring that grew past its
+    initial 8 slots stays with its flow when the queue empties, so a
+    deep backlog that drains now and then is not regrown each time;
+    {!flush_flow} takes it away and releases its arrays, so a burst's
+    peak capacity is not pinned past the flow's life. Exposed so churn
+    tests can assert all of this. *)

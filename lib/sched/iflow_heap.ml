@@ -30,14 +30,16 @@ let ring_make () =
 
 let ring_min = 8  (* slots of a fresh ring *)
 
-let ring_grow r v =
+(* [fill] initialises the new data slots (the store's filler, see
+   below), so a fresh slot does not keep a packet alive. *)
+let ring_grow r fill =
   let cur = Array.length r.rdata in
   if cur = 0 then begin
     r.rkeys <- Array.make ring_min 0;
     r.raux <- Array.make ring_min 0;
     r.rties <- Array.make ring_min 0;
     r.ruids <- Array.make ring_min 0;
-    r.rdata <- Array.make ring_min v
+    r.rdata <- Array.make ring_min fill
   end
   else if r.len = cur then begin
     let cap = 2 * cur in
@@ -45,7 +47,7 @@ let ring_grow r v =
     and raux = Array.make cap 0
     and rties = Array.make cap 0
     and ruids = Array.make cap 0
-    and rdata = Array.make cap v in
+    and rdata = Array.make cap fill in
     (* Unwrap: oldest entry moves to index 0. *)
     let tail = cur - r.head in
     Array.blit r.rkeys r.head rkeys 0 tail;
@@ -66,8 +68,8 @@ let ring_grow r v =
     r.head <- 0
   end
 
-let ring_push r ~key ~aux ~tie ~uid v =
-  ring_grow r v;
+let ring_push r ~key ~aux ~tie ~uid ~fill v =
+  ring_grow r fill;
   let i = (r.head + r.len) land (Array.length r.rdata - 1) in
   r.rkeys.(i) <- key;
   r.raux.(i) <- aux;
@@ -76,12 +78,33 @@ let ring_push r ~key ~aux ~tie ~uid v =
   r.rdata.(i) <- v;
   r.len <- r.len + 1
 
+(* Rings no flow holds, handed to the next flow that needs one: a stack
+   in [stack.(0 .. n - 1)], so a hand-back allocates nothing. A ring
+   here is empty and cleared, with 8 slots or none (see [release]). *)
+type 'a pool = { mutable stack : 'a ring array; mutable n : int }
+
+let take p =
+  if p.n = 0 then ring_make ()
+  else begin
+    p.n <- p.n - 1;
+    p.stack.(p.n)
+  end
+
+let give p r =
+  if p.n = Array.length p.stack then begin
+    let stack = Array.make (Stdlib.max 16 (2 * p.n)) r in
+    Array.blit p.stack 0 stack 0 p.n;
+    p.stack <- stack
+  end;
+  p.stack.(p.n) <- r;
+  p.n <- p.n + 1
+
 type 'a popped = { key : int; aux : int; uid : int; flow : Packet.flow; value : 'a }
 
 type 'a t = {
   heap : Packet.flow Iheap.t;  (* one entry per backlogged flow: its head *)
-  rings : 'a ring Flow_table.t;
-  spare : 'a ring list ref;  (* emptied 8-slot rings, handed to new flows *)
+  rings : 'a ring Flow_table.t;  (* backlogged flows, and idle grown rings *)
+  pool : 'a pool;
   (* [| first value ever pushed |], or [||] before that. OCaml has no
      ['a] dummy, so this value stands in for a cleared ring slot. The
      clearing matters: rings live in the major heap, and a popped value
@@ -101,18 +124,11 @@ type 'a t = {
 }
 
 let create ?capacity () =
-  let spare = ref [] in
-  let fresh _ =
-    match !spare with
-    | r :: rest ->
-      spare := rest;
-      r
-    | [] -> ring_make ()
-  in
+  let pool = { stack = [||]; n = 0 } in
   {
     heap = Iheap.create ?capacity ();
-    rings = Flow_table.create ~default:fresh;
-    spare;
+    rings = Flow_table.create ~default:(fun _ -> take pool);
+    pool;
     filler = [||];
     next_uid = 0;
     total = 0;
@@ -132,12 +148,34 @@ let push t ~flow ~key ~aux ~tie v =
   if Array.length t.filler = 0 then t.filler <- [| v |];
   let r = Flow_table.find t.rings flow in
   let was_empty = r.len = 0 in
-  ring_push r ~key ~aux ~tie ~uid v;
+  ring_push r ~key ~aux ~tie ~uid ~fill:t.filler.(0) v;
   (* Only an idle flow's arrival enters the heap: a backlogged flow is
      already represented by its head packet, and this library's
      disciplines assign non-decreasing tags within a flow, so the head
      stays the flow's minimum. *)
   if was_empty then Iheap.add t.heap ~key ~tie ~uid flow
+
+(* Take the flow's ring away and put it in the pool; the caller has
+   cleared its data slots. A ring that grew past 8 slots goes back as
+   an empty shell, so a burst's peak capacity is not pinned. *)
+let release t flow r =
+  Flow_table.remove t.rings flow;
+  if Array.length r.rdata > ring_min then begin
+    r.rkeys <- [||];
+    r.raux <- [||];
+    r.rties <- [||];
+    r.ruids <- [||];
+    r.rdata <- [||]
+  end;
+  r.head <- 0;
+  r.len <- 0;
+  give t.pool r
+
+(* The pop or eviction that empties a flow's queue hands an 8-slot ring
+   back, so an idle flow holds none. A ring that grew stays with its
+   flow until [flush_flow]: a flow that drains and bursts again (a
+   deep backlog draining now and then) does not regrow it each time. *)
+let drained t flow r = if Array.length r.rdata = ring_min then release t flow r
 
 let pop_exn t =
   let flow = Iheap.min_elt_exn t.heap in
@@ -157,7 +195,8 @@ let pop_exn t =
   if r.len > 0 then begin
     let j = r.head in
     Iheap.add t.heap ~key:r.rkeys.(j) ~tie:r.rties.(j) ~uid:r.ruids.(j) flow
-  end;
+  end
+  else drained t flow r;
   v
 
 let last_key t = t.last_key
@@ -183,7 +222,7 @@ let peek t =
 
 let size t = t.total
 let is_empty t = t.total = 0
-let backlog t flow = match Flow_table.find_opt t.rings flow with None -> 0 | Some r -> r.len
+let backlog t flow = if Flow_table.mem t.rings flow then (Flow_table.find t.rings flow).len else 0
 let active_flows t = Iheap.length t.heap
 
 (* ------------------------------------------------------------------ *)
@@ -210,7 +249,8 @@ let evict_front t flow =
     if r.len > 0 then begin
       let j = r.head in
       Iheap.add t.heap ~key:r.rkeys.(j) ~tie:r.rties.(j) ~uid:r.ruids.(j) flow
-    end;
+    end
+    else drained t flow r;
     Some { key; aux; uid; flow; value = v }
 
 let evict_back t flow =
@@ -224,7 +264,10 @@ let evict_back t flow =
     r.len <- r.len - 1;
     t.total <- t.total - 1;
     (* the tail is the heap representative only when it was alone *)
-    if r.len = 0 then heap_remove t flow;
+    if r.len = 0 then begin
+      heap_remove t flow;
+      drained t flow r
+    end;
     Some { key; aux; uid; flow; value = v }
 
 let flush_flow t flow =
@@ -244,19 +287,10 @@ let flush_flow t flow =
     in
     if n > 0 then begin
       t.total <- t.total - n;
-      heap_remove t flow
+      heap_remove t flow;
+      Array.fill r.rdata 0 (Array.length r.rdata) t.filler.(0)
     end;
-    (* The flow gives its ring up. A ring that never grew is emptied
-       and handed to the next new flow, so recycling ids allocates no
-       rings; a ring that grew is dropped, so a burst's peak capacity
-       is not pinned forever. *)
-    Flow_table.remove t.rings flow;
-    if Array.length r.rdata = ring_min then begin
-      Array.fill r.rdata 0 ring_min t.filler.(0);
-      r.head <- 0;
-      r.len <- 0;
-      t.spare := r :: !(t.spare)
-    end;
+    release t flow r;
     out
 
 let ring_capacity t flow =

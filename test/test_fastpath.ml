@@ -393,7 +393,7 @@ let test_vc_fast_differential () =
 let test_digests_match_across_domains () =
   (* A slice of the frozen theorem pool keeps the sweep quick; the full
      pool runs in the sfq-sweep fastpath CLI and in CI. *)
-  let pool = take 24 O.Suite.theorem_pool in
+  let pool = take 24 (O.Suite.theorem_pool ()) in
   let base = O.Suite.sfq_cells ~pool () in
   let fast =
     List.filter

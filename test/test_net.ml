@@ -1,5 +1,5 @@
-(* Tests for the multi-node network layer, Jitter EDD and the
-   per-flow delay summaries. *)
+(* Tests for the multi-node network layer, per-link memory, Jitter EDD
+   and the per-flow delay summaries. *)
 
 open Sfq_base
 open Sfq_netsim
@@ -440,6 +440,53 @@ let test_delay_stats_from_trace () =
     check_float "jitter" 1.0 s.Delay_stats.jitter
 
 (* ------------------------------------------------------------------ *)
+(* Per-link memory: each link's scheduler state is sized by the flows
+   that link carries, not by the global id space.                       *)
+
+module Net_sweep = Sfq_experiments.Net_sweep
+
+(* The weights [Net_sweep.run_raw] gives every link, rebuilt so that
+   [mk_link] builds the same schedulers the plain run would. *)
+let scenario_weights (s : Net_sweep.scenario) =
+  let bg_ids = if s.churn then min s.window s.flows else s.flows in
+  let c_min = Float.min s.access_rate s.core_rate in
+  let r_res = c_min /. (4.0 *. float_of_int (max 1 s.reserved)) in
+  let r_bg = c_min /. (4.0 *. float_of_int (max 1 bg_ids)) in
+  Weights.of_list ~default:r_bg (List.init s.reserved (fun i -> (i, r_res)))
+
+(* Bytes the link schedulers grew by over a churned-star run, per live
+   id. The same ids are live at every leaf count, so a star with 32x
+   the links carries the same flows, spread thinner. *)
+let grown_bytes_per_id ~leaves =
+  let s =
+    Net_sweep.scale_star ~flows:40_000 ~window:4096 ~leaves
+      ~disc:Sfq_experiments.Disc.Pifo_sfq ()
+  in
+  let weights = scenario_weights s in
+  let links = ref [] and at_creation = ref 0 in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let mk_link _ ~rate:_ =
+    let sched = Sfq_experiments.Disc.make s.disc weights in
+    links := sched :: !links;
+    at_creation := !at_creation + words sched;
+    sched
+  in
+  let o = Net_sweep.run_raw ~mk_link s in
+  check_int "drained" 0 o.Net_sweep.in_flight;
+  let grown = List.fold_left (fun acc l -> acc + words l) 0 !links - !at_creation in
+  float_of_int (grown * (Sys.word_size / 8)) /. float_of_int o.Net_sweep.peak_live
+
+let test_link_memory_scales_with_carried_flows () =
+  let few = grown_bytes_per_id ~leaves:8 and many = grown_bytes_per_id ~leaves:256 in
+  Printf.printf "link scheduler growth per live id: %.0f B at 8 leaves, %.0f B at 256 (%.2fx)\n"
+    few many (many /. few);
+  check_bool
+    (Printf.sprintf "256 leaves grow %.0f B/id, at most 1.5x the %.0f B/id of 8 leaves" many
+       few)
+    true
+    (many <= 1.5 *. few)
+
+(* ------------------------------------------------------------------ *)
 (* Properties and soak                                                  *)
 
 let prop_net_conservation =
@@ -536,6 +583,11 @@ let () =
             test_net_missing_link_raises_at_route;
           Alcotest.test_case "unroute during propagation" `Quick test_net_unroute_in_propagation;
           Alcotest.test_case "propagation keeps per-link FIFO" `Quick test_net_propagation_fifo;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "link state scales with carried flows" `Quick
+            test_link_memory_scales_with_carried_flows;
         ] );
       ( "jitter_edd",
         [

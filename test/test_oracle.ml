@@ -17,9 +17,9 @@ let weights_of (w : Workload.t) = Weights.of_list ~default:1.0 w.Workload.weight
    (test_par) and the bench/CLI consumers share one definition. *)
 let structural = Suite.structural
 let sfq_set = Suite.sfq_set
-let theorem_pool = Suite.theorem_pool
-let override_pool = Suite.override_pool
-let reweight_pool = Suite.reweight_pool
+let theorem_pool = Suite.theorem_pool ()
+let override_pool = Suite.override_pool ()
+let reweight_pool = Suite.reweight_pool ()
 
 (* A sweep is clean when no cell tripped a monitor. *)
 let assert_clean_sweep cells =

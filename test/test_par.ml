@@ -130,7 +130,7 @@ let replay_bench_row ~nflows ~ops (label, spec) =
   }
 
 let test_bench_row_deterministic () =
-  let w = List.hd Suite.theorem_pool in
+  let w = List.hd (Suite.theorem_pool ()) in
   let specs = Array.of_list (bench_row_specs w) in
   let digest_at domains =
     let rows =

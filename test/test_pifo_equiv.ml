@@ -327,7 +327,7 @@ let assert_port_digests_match ~what float_cells pifo_cells =
     [ 1; 2; 4; 8 ]
 
 let test_port_digests_across_domains () =
-  let pool = take 18 O.Suite.theorem_pool in
+  let pool = take 18 (O.Suite.theorem_pool ()) in
   let pifo_cells = O.Suite.pifo_cells ~pool () in
   let weights_of (w : O.Workload.t) = Weights.of_list ~default:1.0 w.O.Workload.weights in
   let specs (w : O.Workload.t) = edd_specs w.O.Workload.weights in
@@ -393,7 +393,7 @@ let counter_prog () =
     regs;
     shaped = false;
     rank =
-      (fun ~now:_ pkt ->
+      (fun ~now:_ ~slot:_ pkt ->
         let f = pkt.Packet.flow in
         let t = Option.value (Hashtbl.find_opt tags f) ~default:0 in
         Hashtbl.replace tags f (t + pkt.Packet.len);
@@ -403,7 +403,7 @@ let counter_prog () =
     on_idle = Rank_program.no_idle;
     horizon = Rank_program.no_horizon;
     attach = Rank_program.no_attach;
-    on_close = (fun ~now:_ f -> Hashtbl.remove tags f);
+    on_close = (fun ~now:_ ~slot:_ f -> Hashtbl.remove tags f);
     vtime = Rank_program.no_vtime;
   }
 
@@ -547,6 +547,29 @@ let test_zero_alloc_steady_state () =
       ("pifo-vc", stepper (fun () -> Programs.virtual_clock (Weights.uniform 100.0)));
     ]
 
+(* A churned link's lifecycle: every cycle a new flow arrives, is
+   served and closes, ids rotating through a window. Slots, rings and
+   per-flow state are all reused, so the words that remain are the
+   weight read at each flow's activation. *)
+let test_lifecycle_alloc () =
+  let ids = 1024 in
+  let t = Pifo.create (Programs.sfq (Weights.uniform 100.0)) in
+  let pkts =
+    Array.init ids (fun f -> Packet.make ~flow:(f * 37) ~seq:1 ~len:1000 ~born:0.0 ())
+  in
+  let i = ref 0 in
+  let step () =
+    let p = pkts.(!i) in
+    Pifo.enqueue t ~now:0.0 p;
+    ignore (Pifo.dequeue_exn t);
+    ignore (Pifo.close_flow t ~now:0.0 p.Packet.flow);
+    i := (!i + 1) land (ids - 1)
+  in
+  let d = alloc_delta step in
+  check_bool
+    (Printf.sprintf "%.0f minor words over 10k enqueue/dequeue/close cycles (<= 3 per cycle)" d)
+    true (d <= 30_000.0)
+
 (* ------------------------------------------------------------------ *)
 (* Rank clamping: user programs cannot wrap the order.                  *)
 
@@ -558,7 +581,7 @@ let const_rank_prog ranks =
     regs;
     shaped = false;
     rank =
-      (fun ~now:_ _ ->
+      (fun ~now:_ ~slot:_ _ ->
         incr i;
         ranks.(!i));
     on_dequeue = Rank_program.no_dequeue;
@@ -624,7 +647,10 @@ let () =
           Alcotest.test_case "FIFO-stable ties" `Quick test_fifo_stable_ties;
         ] );
       ( "allocation",
-        [ Alcotest.test_case "zero-alloc steady state" `Quick test_zero_alloc_steady_state ] );
+        [
+          Alcotest.test_case "zero-alloc steady state" `Quick test_zero_alloc_steady_state;
+          Alcotest.test_case "flow lifecycle <= 3 words per cycle" `Quick test_lifecycle_alloc;
+        ] );
       ( "saturation",
         [
           Alcotest.test_case "rank clamp rail" `Quick test_rank_saturation_rail;

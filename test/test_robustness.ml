@@ -384,6 +384,54 @@ let test_iflow_heap_flush_releases_grown_ring () =
   check_int "the recycled id starts from a fresh ring" 8 (Iflow_heap.ring_capacity h 7);
   check_int "and serves" 99 (Iflow_heap.pop_exn h)
 
+let test_iflow_heap_drain_hands_ring_back () =
+  (* the pop or eviction that empties a flow's queue takes its ring
+     away; the next new flow takes that ring without allocating *)
+  let h = Iflow_heap.create () in
+  List.iter (fun k -> Iflow_heap.push h ~flow:3 ~key:k ~aux:0 ~tie:0 k) [ 1; 2 ];
+  check_int "a backlogged flow holds a ring" 8 (Iflow_heap.ring_capacity h 3);
+  check_int "first pop" 1 (Iflow_heap.pop_exn h);
+  check_int "it keeps the ring while an entry is left" 8 (Iflow_heap.ring_capacity h 3);
+  check_int "second pop drains the flow" 2 (Iflow_heap.pop_exn h);
+  check_int "the drained flow holds no ring" 0 (Iflow_heap.ring_capacity h 3);
+  check_int "nor any backlog" 0 (Iflow_heap.backlog h 3);
+  let before = Gc.minor_words () in
+  Iflow_heap.push h ~flow:5 ~key:7 ~aux:0 ~tie:0 7;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "the next new flow takes that ring without allocating" 0.0
+    words;
+  check_int "an 8-slot ring" 8 (Iflow_heap.ring_capacity h 5);
+  ignore (Iflow_heap.evict_front h 5);
+  check_int "an evict_front that drains hands it back" 0 (Iflow_heap.ring_capacity h 5);
+  Iflow_heap.push h ~flow:5 ~key:8 ~aux:0 ~tie:0 8;
+  ignore (Iflow_heap.evict_back h 5);
+  check_int "so does an evict_back" 0 (Iflow_heap.ring_capacity h 5);
+  for i = 1 to 20 do
+    Iflow_heap.push h ~flow:9 ~key:i ~aux:0 ~tie:0 i
+  done;
+  check_int "a burst grows a ring" 32 (Iflow_heap.ring_capacity h 9);
+  for _ = 1 to 20 do
+    ignore (Iflow_heap.pop_exn h)
+  done;
+  check_int "a grown ring stays with its drained flow" 32 (Iflow_heap.ring_capacity h 9);
+  Iflow_heap.push h ~flow:9 ~key:30 ~aux:0 ~tie:0 30;
+  check_int "which bursts again without regrowing" 32 (Iflow_heap.ring_capacity h 9);
+  check_int "serves" 30 (Iflow_heap.pop_exn h);
+  check_int "nothing left to flush" 0 (List.length (Iflow_heap.flush_flow h 9));
+  check_int "but flush_flow takes the ring away" 0 (Iflow_heap.ring_capacity h 9)
+
+let test_flow_heap_drain_hands_ring_back () =
+  let fh = Flow_heap.create () in
+  List.iter (fun i -> Flow_heap.push fh ~flow:4 ~key:(float_of_int i) ~tie:0.0 i) [ 1; 2 ];
+  ignore (Flow_heap.pop fh);
+  check_int "one entry left: the flow keeps its ring" 8 (Flow_heap.ring_capacity fh 4);
+  ignore (Flow_heap.pop fh);
+  check_int "the drained flow holds no ring" 0 (Flow_heap.ring_capacity fh 4);
+  Flow_heap.push fh ~flow:6 ~key:0.0 ~tie:0.0 6;
+  check_int "the next flow reuses it" 8 (Flow_heap.ring_capacity fh 6);
+  ignore (Flow_heap.evict_back fh 6);
+  check_int "an eviction that drains hands it back" 0 (Flow_heap.ring_capacity fh 6)
+
 let test_flow_heap_evict_ends () =
   let fh = Flow_heap.create () in
   List.iter (fun i -> Flow_heap.push fh ~flow:1 ~key:(float_of_int i) ~tie:0.0 i) [ 1; 2; 3 ];
@@ -487,6 +535,10 @@ let () =
             test_iflow_heap_flush_recycles_small_ring;
           Alcotest.test_case "Iflow_heap.flush_flow releases a grown ring" `Quick
             test_iflow_heap_flush_releases_grown_ring;
+          Alcotest.test_case "Iflow_heap: a drained flow hands its ring back" `Quick
+            test_iflow_heap_drain_hands_ring_back;
+          Alcotest.test_case "Flow_heap: a drained flow hands its ring back" `Quick
+            test_flow_heap_drain_hands_ring_back;
           Alcotest.test_case "Flow_heap evicts the right ends" `Quick
             test_flow_heap_evict_ends;
           Alcotest.test_case "Flow_registry recycles LIFO" `Quick

@@ -1,5 +1,5 @@
 (* Unit and property tests for sfq.util: heap, rng, stats, running_min,
-   vec, text_table. *)
+   vec, slot_map, text_table. *)
 
 open Sfq_util
 
@@ -603,6 +603,121 @@ let test_histogram_merge_quantile_consistent () =
     [ 0.05; 0.5; 0.95 ]
 
 (* ------------------------------------------------------------------ *)
+(* Slot_map                                                             *)
+
+type slot_op = Add of int | Remove of int | Find of int
+
+let slot_op_print = function
+  | Add k -> Printf.sprintf "add %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Find k -> Printf.sprintf "find %d" k
+
+(* 48 small keys make probe clusters in a 16- to 256-bucket table, so
+   deletions move entries back; half are spread to large ids. *)
+let slot_key_gen =
+  QCheck.Gen.(map2 (fun k wide -> if wide then (k lsl 20) + k else k) (0 -- 47) bool)
+
+let slot_ops_arb =
+  QCheck.make
+    ~print:QCheck.Print.(list slot_op_print)
+    QCheck.Gen.(
+      list_size (0 -- 300)
+        (frequency
+           [
+             (5, map (fun k -> Add k) slot_key_gen);
+             (3, map (fun k -> Remove k) slot_key_gen);
+             (2, map (fun k -> Find k) slot_key_gen);
+           ]))
+
+let prop_slot_map_model =
+  QCheck.Test.make ~name:"slot_map: matches a Hashtbl model, freed slots reused LIFO"
+    ~count:300 slot_ops_arb (fun ops ->
+      let m = Slot_map.create () in
+      let model = Hashtbl.create 16 and free = ref [] and next = ref 0 in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      List.iter
+        (fun op ->
+          let got, want =
+            match op with
+            | Add k ->
+              let want =
+                match Hashtbl.find_opt model k with
+                | Some s -> s
+                | None ->
+                  let s =
+                    match !free with
+                    | s :: rest ->
+                      free := rest;
+                      s
+                    | [] ->
+                      incr next;
+                      !next - 1
+                  in
+                  Hashtbl.replace model k s;
+                  s
+              in
+              (Slot_map.find_or_add m k, want)
+            | Remove k ->
+              let want =
+                match Hashtbl.find_opt model k with
+                | Some s ->
+                  Hashtbl.remove model k;
+                  free := s :: !free;
+                  s
+                | None -> -1
+              in
+              (Slot_map.remove m k, want)
+            | Find k ->
+              (Slot_map.find m k, Option.value (Hashtbl.find_opt model k) ~default:(-1))
+          in
+          if got <> want then fail "%s: slot %d, model %d" (slot_op_print op) got want;
+          if Slot_map.length m <> Hashtbl.length model then
+            fail "%s: length %d, model %d" (slot_op_print op) (Slot_map.length m)
+              (Hashtbl.length model);
+          (* every other key must still be reachable along its probe run *)
+          Hashtbl.iter
+            (fun k s ->
+              let got = Slot_map.find m k in
+              if got <> s then
+                fail "after %s: key %d has slot %d, model %d" (slot_op_print op) k got s)
+            model)
+        ops;
+      true)
+
+let test_slot_map_negative_keys () =
+  let m = Slot_map.create () in
+  check_int "find before any insert" (-1) (Slot_map.find m 5);
+  check_int "first slot" 0 (Slot_map.find_or_add m 5);
+  check_int "negative key has no slot" (-1) (Slot_map.find m (-1));
+  check_int "negative key removes nothing" (-1) (Slot_map.remove m (-1));
+  Alcotest.check_raises "negative key rejected"
+    (Invalid_argument "Slot_map.find_or_add: negative key") (fun () ->
+      ignore (Slot_map.find_or_add m (-1)))
+
+let test_slot_map_zero_alloc () =
+  (* a sliding window of 32 live keys over scattered ids: once the table
+     and the free stack have reached their peak, churn allocates nothing *)
+  let m = Slot_map.create () in
+  let key i = i * 7919 in
+  let churn () =
+    for i = 0 to 999 do
+      ignore (Slot_map.find_or_add m (key i));
+      if i >= 32 then ignore (Slot_map.remove m (key (i - 32)))
+    done;
+    for i = 968 to 999 do
+      ignore (Slot_map.remove m (key i))
+    done
+  in
+  churn ();
+  let before = Gc.minor_words () in
+  churn ();
+  let words = Gc.minor_words () -. before in
+  check_int "empty after the churn" 0 (Slot_map.length m);
+  let s = Slot_map.find_or_add m 1 in
+  check_bool "slots stay below the 33-key peak" true (s >= 0 && s < 33);
+  check_bool (Printf.sprintf "%.0f minor words over 2000 operations" words) true (words = 0.0)
+
+(* ------------------------------------------------------------------ *)
 (* Text_table                                                           *)
 
 let test_table_renders () =
@@ -711,6 +826,13 @@ let () =
           Alcotest.test_case "merge" `Quick test_histogram_merge;
           Alcotest.test_case "merge/quantile consistent" `Quick
             test_histogram_merge_quantile_consistent;
+        ] );
+      ( "slot_map",
+        [
+          q prop_slot_map_model;
+          Alcotest.test_case "negative keys" `Quick test_slot_map_negative_keys;
+          Alcotest.test_case "steady-state churn allocates nothing" `Quick
+            test_slot_map_zero_alloc;
         ] );
       ( "text_table",
         [
