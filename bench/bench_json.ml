@@ -241,113 +241,17 @@ let check_overhead rows =
       [ "untraced"; "disabled"; "ring"; "jsonl" ]
   | _ -> raise (Bad (Printf.sprintf "%s must be an array" series))
 
-(* The fastpath series carries three hard promises of the fixed-point
-   layer, and the file is rejected the moment any of them decays:
-   - sfq-fast allocates nothing per packet in steady state (the column
+(* The pifo series sets each rank program on the PIFO runtime beside
+   its float original under one stepper, and carries two hard promises:
+   - pifo-sfq allocates nothing per packet in steady state (the column
      is the measured minor-words rate, emitted at 1e-3 resolution, so
      "zero" means exactly 0.000);
-   - sfq-fast is actually faster than float sfq at the largest flow
-     count — a fast path that stops being fast is a regression, not a
-     wobble;
    - every sp-pifo row carries its measured fairness budget (worst
      Theorem-1 H and the exact-SFQ bound it is compared against), so
      the cost of approximate rank order is never reported without its
      price tag. *)
-let check_fastpath rows =
-  let series = "fastpath" in
-  match rows with
-  | List [] -> raise (Bad (Printf.sprintf "%s is empty" series))
-  | List rows ->
-    List.iter
-      (fun row ->
-        (match field "discipline" row with
-        | Str _ -> ()
-        | _ -> raise (Bad (series ^ ": discipline must be a string")));
-        check_pos_int ~series ~name:"flows" row;
-        check_ns ~series ~name:"ns_per_packet" row;
-        check_ns ~series ~name:"ns_p50" row;
-        check_ns ~series ~name:"ns_p99" row;
-        (match field "allocations_per_packet" row with
-        | Num a when a >= 0.0 -> ()
-        | _ ->
-          raise (Bad (series ^ ": allocations_per_packet must be a non-negative number")));
-        match field "discipline" row with
-        | Str "sfq-fast" -> (
-          match field "allocations_per_packet" row with
-          | Num 0.0 -> ()
-          | Num a ->
-            raise
-              (Bad
-                 (Printf.sprintf
-                    "%s: sfq-fast allocates %.3f words/packet — the zero-allocation \
-                     contract is broken"
-                    series a))
-          | _ -> raise (Bad (series ^ ": sfq-fast allocations_per_packet must be a number")))
-        | Str "sp-pifo" ->
-          (match field "measured_unfairness" row with
-          | Num h when h > 0.0 -> ()
-          | _ ->
-            raise
-              (Bad
-                 (series
-                ^ ": sp-pifo rows must carry a positive measured_unfairness budget")));
-          (match field "fairness_bound" row with
-          | Num b when b > 0.0 -> ()
-          | _ -> raise (Bad (series ^ ": sp-pifo rows must carry a positive fairness_bound")))
-        | _ -> ())
-      rows;
-    let ns_of disc flows =
-      List.find_map
-        (fun row ->
-          if field "discipline" row = Str disc && field "flows" row = Num flows then
-            match field "ns_per_packet" row with Num ns -> Some ns | _ -> None
-          else None)
-        rows
-    in
-    let max_flows =
-      List.fold_left
-        (fun acc row -> match field "flows" row with Num f -> Float.max acc f | _ -> acc)
-        0.0 rows
-    in
-    (match (ns_of "sfq" max_flows, ns_of "sfq-fast" max_flows) with
-    | Some slow, Some fast when fast >= slow ->
-      raise
-        (Bad
-           (Printf.sprintf
-              "%s: sfq-fast (%.0f ns) does not beat sfq (%.0f ns) at %.0f flows — the \
-               fast path is not fast"
-              series fast slow max_flows))
-    | Some _, Some _ -> ()
-    | _ ->
-      raise
-        (Bad
-           (Printf.sprintf "%s: missing sfq or sfq-fast row at %.0f flows" series max_flows)));
-    List.iter
-      (fun disc ->
-        if not (List.exists (fun row -> field "discipline" row = Str disc) rows) then
-          raise (Bad (Printf.sprintf "%s: missing discipline %S" series disc)))
-      [ "sfq"; "sfq-fast"; "scfq"; "scfq-fast"; "virtual-clock"; "vc-fast"; "sp-pifo" ]
-  | _ -> raise (Bad (Printf.sprintf "%s must be an array" series))
-
-(* The pifo series prices the programmable runtime against the
-   hand-written fast path it absorbs. Generality is allowed to cost a
-   bounded dispatch premium, never an allocation: pifo-sfq must report
-   exactly zero allocations per packet, and its ns/packet must stay
-   within [pifo_overhead_limit] of sfq-fast's at the largest flow
-   count the series measures (the sfq-fast reference comes from the
-   fastpath series of the same file). *)
-let pifo_overhead_limit = 1.15
-
-let check_pifo ~fastpath rows =
+let check_pifo rows =
   let series = "pifo" in
-  let ns_of rows disc flows =
-    List.find_map
-      (fun row ->
-        if field "discipline" row = Str disc && field "flows" row = Num flows then
-          match field "ns_per_packet" row with Num ns -> Some ns | _ -> None
-        else None)
-      rows
-  in
   match rows with
   | List [] -> raise (Bad (Printf.sprintf "%s is empty" series))
   | List rows ->
@@ -376,39 +280,24 @@ let check_pifo ~fastpath rows =
                      zero-allocation contract is broken"
                     series a))
           | _ -> raise (Bad (series ^ ": pifo-sfq allocations_per_packet must be a number")))
+        | Str "sp-pifo" ->
+          (match field "measured_unfairness" row with
+          | Num h when h > 0.0 -> ()
+          | _ ->
+            raise
+              (Bad
+                 (series
+                ^ ": sp-pifo rows must carry a positive measured_unfairness budget")));
+          (match field "fairness_bound" row with
+          | Num b when b > 0.0 -> ()
+          | _ -> raise (Bad (series ^ ": sp-pifo rows must carry a positive fairness_bound")))
         | _ -> ())
       rows;
     List.iter
       (fun disc ->
         if not (List.exists (fun row -> field "discipline" row = Str disc) rows) then
           raise (Bad (Printf.sprintf "%s: missing discipline %S" series disc)))
-      [ "pifo-sfq"; "pifo-scfq"; "pifo-vc" ];
-    let max_flows =
-      List.fold_left
-        (fun acc row -> match field "flows" row with Num f -> Float.max acc f | _ -> acc)
-        0.0 rows
-    in
-    let fast_ns =
-      match fastpath with List frows -> ns_of frows "sfq-fast" max_flows | _ -> None
-    in
-    (match (ns_of rows "pifo-sfq" max_flows, fast_ns) with
-    | Some p, Some f when p > pifo_overhead_limit *. f ->
-      raise
-        (Bad
-           (Printf.sprintf
-              "%s: pifo-sfq (%.0f ns) exceeds the %.0f%% budget over sfq-fast (%.0f \
-               ns) at %.0f flows — the runtime premium is over budget"
-              series p
-              (100.0 *. (pifo_overhead_limit -. 1.0))
-              f max_flows))
-    | Some _, Some _ -> ()
-    | None, _ ->
-      raise (Bad (Printf.sprintf "%s: missing pifo-sfq row at %.0f flows" series max_flows))
-    | _, None ->
-      raise
-        (Bad
-           (Printf.sprintf
-              "%s: no sfq-fast reference row in fastpath at %.0f flows" series max_flows)))
+      [ "sfq"; "pifo-sfq"; "scfq"; "pifo-scfq"; "virtual-clock"; "pifo-vc"; "sp-pifo" ]
   | _ -> raise (Bad (Printf.sprintf "%s must be an array" series))
 
 (* The parallel series is the trajectory's record of the sfq.par
@@ -452,8 +341,8 @@ let check_parallel rows =
 
 (* The netsim series records whole-network simulation scale (E27): a
    churned star draining 10^5-10^6 flows per discipline. Two promises
-   are gated: the three disciplines that share the composed Thm 8/9
-   oracle are all present (a row that silently vanishes would hide a
+   are gated: both disciplines that share the composed Thm 8/9 oracle
+   are present (a row that silently vanishes would hide a
    scale regression), and the recorded peak RSS stays under the bound
    the row itself carries — the "memory is bounded by the window, not
    the flow count" claim, checked on every trajectory. peak_rss_kb may
@@ -491,7 +380,7 @@ let check_netsim rows =
       (fun disc ->
         if not (List.exists (fun row -> field "discipline" row = Str disc) rows) then
           raise (Bad (Printf.sprintf "%s: missing discipline %S" series disc)))
-      [ "sfq"; "sfq-fast"; "pifo-sfq" ]
+      [ "sfq"; "pifo-sfq" ]
   | _ -> raise (Bad (Printf.sprintf "%s must be an array" series))
 
 (* The replay series is E28's universality scoreboard: per-tier cell
@@ -551,15 +440,14 @@ let validate contents =
   match
     let json = parse contents in
     (match field "schema" json with
-    | Str "sfq-bench-sched/7" -> ()
-    | Str "sfq-bench-sched/6" ->
-      raise (Bad "stale schema sfq-bench-sched/6: regenerate with bench main.exe micro")
+    | Str "sfq-bench-sched/8" -> ()
+    | Str "sfq-bench-sched/7" ->
+      raise (Bad "stale schema sfq-bench-sched/7: regenerate with bench main.exe micro")
     | _ -> raise (Bad "unexpected schema"));
     check_meta (field "meta" json);
     check_rows ~series:"flow_scaling" ~depth:false (field "flow_scaling" json);
     check_rows ~series:"depth_scaling" ~depth:true (field "depth_scaling" json);
-    check_fastpath (field "fastpath" json);
-    check_pifo ~fastpath:(field "fastpath" json) (field "pifo" json);
+    check_pifo (field "pifo" json);
     check_overhead (field "tracing_overhead" json);
     check_parallel (field "parallel" json);
     check_netsim (field "netsim" json);

@@ -40,34 +40,27 @@ val disabled_overhead_limit_pct : float
     observability layer's promise that leaving the wrapper installed in
     a production build costs nothing measurable. *)
 
-val pifo_overhead_limit : float
-(** The multiplicative budget the rank-program SFQ must stay within of
-    hand-written sfq-fast ns/packet (1.15): programmability may cost a
-    bounded dispatch premium, never more. *)
-
 val validate : string -> (unit, string) result
 (** [validate contents] checks a whole document: well-formed JSON,
-    [schema = "sfq-bench-sched/7"] (the previous /6 is
-    rejected as stale — a /7 file must carry the replay series), a [meta] block with non-empty
+    [schema = "sfq-bench-sched/8"] (the previous /7 is rejected as
+    stale — a /8 file carries the float originals and sp-pifo in its
+    [pifo] series), a [meta] block with non-empty
     [git_sha]/[timestamp_utc]/[hostname] and a positive-integer
     [domains], the [flow_scaling] and [depth_scaling] series, a
-    [fastpath] series carrying all seven fixed-point-vs-float
-    disciplines — in which sfq-fast must report exactly zero
-    allocations per packet and a lower ns/packet than float sfq at the
-    largest flow count, and every sp-pifo row must carry its positive
-    measured-unfairness budget and fairness bound — a [pifo] series
-    carrying the pifo-sfq/pifo-scfq/pifo-vc rank-program rows, in
-    which pifo-sfq must report exactly zero allocations per packet and
-    stay within {!pifo_overhead_limit} of the fastpath series'
-    sfq-fast at the largest flow count, a [tracing_overhead] series
-    carrying all four modes (untraced/disabled/ring/jsonl) whose
-    disabled row must respect {!disabled_overhead_limit_pct}, and a
+    [pifo] series carrying each pifo-sfq/pifo-scfq/pifo-vc rank
+    program beside its float original (sfq/scfq/virtual-clock) and
+    sp-pifo — in which pifo-sfq must report exactly zero allocations
+    per packet and every sp-pifo row must carry its positive
+    measured-unfairness budget and fairness bound — a
+    [tracing_overhead] series carrying all four modes
+    (untraced/disabled/ring/jsonl) whose disabled row must respect
+    {!disabled_overhead_limit_pct}, and a
     [parallel] series (the serial-vs-pool oracle-sweep timing) every
     row of which must carry [identical = true] — the witness that the
     parallel sweep reproduced the serial digest byte for byte — and a
     [netsim] series (E27 whole-network scale: churned-star rows for
-    sfq, sfq-fast and pifo-sfq, all three required) whose
-    [packets_per_sec] must be positive and whose [peak_rss_kb] (a
+    sfq and pifo-sfq, both required) whose [packets_per_sec] must be
+    positive and whose [peak_rss_kb] (a
     positive integer, or null only where /proc is unavailable) must
     not exceed the row's own [rss_bound_kb] — the "memory is bounded
     by the churn window, not the flow count" gate — and a [replay]

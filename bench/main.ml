@@ -107,9 +107,9 @@ let disciplines nflows =
     ("wrr", fun () -> Disc.make Disc.Wrr weights);
     ("virtual-clock", fun () -> Disc.make Disc.Virtual_clock weights);
     ("fair-airport", fun () -> Disc.make Disc.Fair_airport weights);
-    ("sfq-fast", fun () -> Disc.make Disc.Sfq_fast weights);
-    ("scfq-fast", fun () -> Disc.make Disc.Scfq_fast weights);
-    ("vc-fast", fun () -> Disc.make Disc.Virtual_clock_fast weights);
+    ("pifo-sfq", fun () -> Disc.make Disc.Pifo_sfq weights);
+    ("pifo-scfq", fun () -> Disc.make Disc.Pifo_scfq weights);
+    ("pifo-vc", fun () -> Disc.make Disc.Pifo_vc weights);
     ("sp-pifo", fun () -> Disc.make (Disc.Sp_pifo { banks = 8 }) weights);
   ]
 
@@ -123,7 +123,7 @@ let depth_disciplines =
     ("sfq-ref", fun () -> sfq_ref_sched weights);
     ("scfq", fun () -> Disc.make Disc.Scfq weights);
     ("virtual-clock", fun () -> Disc.make Disc.Virtual_clock weights);
-    ("sfq-fast", fun () -> Disc.make Disc.Sfq_fast weights);
+    ("pifo-sfq", fun () -> Disc.make Disc.Pifo_sfq weights);
     ("sp-pifo", fun () -> Disc.make (Disc.Sp_pifo { banks = 8 }) weights);
   ]
 
@@ -232,29 +232,29 @@ let fill_drain_samples ~quick ~nflows ~depth make_sched =
   !samples
 
 (* ------------------------------------------------------------------ *)
-(* E25: the fixed-point fast path — ns/packet and allocations/packet,
-   and the measured fairness budget of the approximate sp-pifo.        *)
+(* E26: rank programs on the PIFO runtime beside their float originals
+   — ns/packet and allocations/packet, and the measured fairness budget
+   of the approximate sp-pifo.                                          *)
 
-type fastpath_row = {
-  fp_disc : string;
-  fp_flows : int;
-  fp_ns : float;
-  fp_p50 : float;
-  fp_p99 : float;
-  fp_allocs : float;  (* minor-heap words per enqueue+dequeue *)
-  fp_budget : Sfq_oracle.Monitor.fairness_budget option;  (* sp-pifo only *)
+type pifo_row = {
+  pr_disc : string;
+  pr_flows : int;
+  pr_ns : float;
+  pr_p50 : float;
+  pr_p99 : float;
+  pr_allocs : float;  (* minor-heap words per enqueue+dequeue *)
+  pr_budget : Sfq_oracle.Monitor.fairness_budget option;  (* sp-pifo only *)
 }
 
-let fastpath_flow_counts = [ 64; 512 ]
+let pifo_flow_counts = [ 64; 512 ]
 
-(* Native steppers: preallocated packets, constant clock, exn-based
-   dequeues where the module offers them. The float schedulers run
-   through the very same stepper shape (their own native
-   enqueue/dequeue), so the sfq-vs-sfq-fast rows isolate the scheduler
-   interior — tag arithmetic, heap, per-flow state, option boxes — and
-   never charge packet construction to either side. Depth-1 prefill
-   matches the flow_scaling series. *)
-let fastpath_steppers nflows =
+(* One native stepper for every row: preallocated packets, constant
+   clock, each scheduler's own enqueue/dequeue (exn-based where the
+   module offers one), so a rank program and its float original are
+   compared on scheduler interiors only — tag arithmetic, heap,
+   per-flow state, option boxes — and packet construction is charged
+   to neither. Depth-1 prefill matches the flow_scaling series. *)
+let pifo_steppers nflows =
   let weights = Weights.uniform 1000.0 in
   let native enq deq =
     let pkts =
@@ -268,7 +268,13 @@ let fastpath_steppers nflows =
       enq pkts.(f);
       deq ()
   in
-  let open Sfq_fastpath in
+  let open Sfq_pifo in
+  let program prog =
+    let t = Pifo_sched.create prog in
+    native
+      (fun p -> Pifo_sched.enqueue t ~now:0.0 p)
+      (fun () -> ignore (Pifo_sched.dequeue_exn t))
+  in
   [
     ( "sfq",
       fun () ->
@@ -276,71 +282,27 @@ let fastpath_steppers nflows =
         native
           (fun p -> Sfq_core.Sfq.enqueue t ~now:0.0 p)
           (fun () -> ignore (Sfq_core.Sfq.dequeue t ~now:0.0)) );
-    ( "sfq-fast",
-      fun () ->
-        let t = Sfq_fast.create weights in
-        native
-          (fun p -> Sfq_fast.enqueue t ~now:0.0 p)
-          (fun () -> ignore (Sfq_fast.dequeue_exn t)) );
+    ("pifo-sfq", fun () -> program (Programs.sfq weights));
     ( "scfq",
       fun () ->
         let t = Scfq.create weights in
         native
           (fun p -> Scfq.enqueue t ~now:0.0 p)
           (fun () -> ignore (Scfq.dequeue t ~now:0.0)) );
-    ( "scfq-fast",
-      fun () ->
-        let t = Scfq_fast.create weights in
-        native
-          (fun p -> Scfq_fast.enqueue t ~now:0.0 p)
-          (fun () -> ignore (Scfq_fast.dequeue_exn t)) );
+    ("pifo-scfq", fun () -> program (Programs.scfq weights));
     ( "virtual-clock",
       fun () ->
         let t = Virtual_clock.create weights in
         native
           (fun p -> Virtual_clock.enqueue t ~now:0.0 p)
           (fun () -> ignore (Virtual_clock.dequeue t ~now:0.0)) );
-    ( "vc-fast",
-      fun () ->
-        let t = Virtual_clock_fast.create weights in
-        native
-          (fun p -> Virtual_clock_fast.enqueue t ~now:0.0 p)
-          (fun () -> ignore (Virtual_clock_fast.dequeue_exn t)) );
+    ("pifo-vc", fun () -> program (Programs.virtual_clock weights));
     ( "sp-pifo",
       fun () ->
         let t = Sp_pifo.create weights in
         native
           (fun p -> Sp_pifo.enqueue t ~now:0.0 p)
           (fun () -> ignore (Sp_pifo.dequeue_exn t)) );
-  ]
-
-(* E26: the same disciplines as rank programs on the shared PIFO
-   runtime (lib/pifo). Identical stepper shape and flow counts as the
-   fastpath series, so pifo-sfq vs sfq-fast isolates the runtime
-   premium — closure dispatch per rank call, the regs cell, the
-   runtime's own tie cache — on top of the very same tag arithmetic
-   and heap. The validator holds this premium to 15% and the
-   allocation column to exactly zero. *)
-let pifo_steppers nflows =
-  let weights = Weights.uniform 1000.0 in
-  let open Sfq_pifo in
-  let native prog =
-    let t = Pifo_sched.create prog in
-    let pkts =
-      Array.init nflows (fun f -> Packet.make ~flow:f ~seq:1 ~len:1000 ~born:0.0 ())
-    in
-    Array.iter (fun p -> Pifo_sched.enqueue t ~now:0.0 p) pkts;
-    let flow = ref 0 in
-    fun () ->
-      let f = !flow in
-      flow := (f + 1) mod nflows;
-      Pifo_sched.enqueue t ~now:0.0 pkts.(f);
-      ignore (Pifo_sched.dequeue_exn t)
-  in
-  [
-    ("pifo-sfq", fun () -> native (Programs.sfq weights));
-    ("pifo-scfq", fun () -> native (Programs.scfq weights));
-    ("pifo-vc", fun () -> native (Programs.virtual_clock weights));
   ]
 
 (* Allocation rate measured over its own window, after warmup and a
@@ -372,17 +334,17 @@ let sp_pifo_budget ~quick () =
     (fun i (w : O.Workload.t) ->
       if i < n then begin
         let s =
-          Sfq_fastpath.Sp_pifo.create (Weights.of_list ~default:1.0 w.O.Workload.weights)
+          Sfq_pifo.Sp_pifo.create (Weights.of_list ~default:1.0 w.O.Workload.weights)
         in
         let m, budget = O.Monitor.fairness_measured ~rate:(O.Workload.rate_of w) () in
-        ignore (O.Run.fixed_rate ~sched:(Sfq_fastpath.Sp_pifo.sched s) ~monitors:[ m ] w);
+        ignore (O.Run.fixed_rate ~sched:(Sfq_pifo.Sp_pifo.sched s) ~monitors:[ m ] w);
         let b = budget () in
         if b.O.Monitor.max_excess > !worst.O.Monitor.max_excess then worst := b
       end)
     pool;
   !worst
 
-let fastpath_rows ~quick () =
+let pifo_rows ~quick () =
   let batches, batch_ops = if quick then (3, 1_000) else (5, 20_000) in
   let alloc_ops = if quick then 10_000 else 100_000 in
   let budget = sp_pifo_budget ~quick () in
@@ -402,46 +364,16 @@ let fastpath_rows ~quick () =
           done;
           let ns, p50, p99 = stats_of !samples in
           {
-            fp_disc = name;
-            fp_flows = nflows;
-            fp_ns = ns;
-            fp_p50 = p50;
-            fp_p99 = p99;
-            fp_allocs = allocs;
-            fp_budget = (if name = "sp-pifo" then Some budget else None);
-          })
-        (fastpath_steppers nflows))
-    fastpath_flow_counts
-
-let pifo_rows ~quick () =
-  let batches, batch_ops = if quick then (3, 1_000) else (5, 20_000) in
-  let alloc_ops = if quick then 10_000 else 100_000 in
-  List.concat_map
-    (fun nflows ->
-      List.map
-        (fun (name, make_step) ->
-          let step = make_step () in
-          for _ = 1 to batch_ops do
-            step ()
-          done;
-          Gc.compact ();
-          let allocs = allocs_per_op step alloc_ops in
-          let samples = ref [] in
-          for _ = 1 to batches do
-            samples := timed_batch step batch_ops :: !samples
-          done;
-          let ns, p50, p99 = stats_of !samples in
-          {
-            fp_disc = name;
-            fp_flows = nflows;
-            fp_ns = ns;
-            fp_p50 = p50;
-            fp_p99 = p99;
-            fp_allocs = allocs;
-            fp_budget = None;
+            pr_disc = name;
+            pr_flows = nflows;
+            pr_ns = ns;
+            pr_p50 = p50;
+            pr_p99 = p99;
+            pr_allocs = allocs;
+            pr_budget = (if name = "sp-pifo" then Some budget else None);
           })
         (pifo_steppers nflows))
-    fastpath_flow_counts
+    pifo_flow_counts
 
 (* ------------------------------------------------------------------ *)
 (* E22: cost of the sfq.obs tracer on the SFQ hot path                  *)
@@ -661,7 +593,7 @@ let netsim_rows ~quick () =
         nt_peak_rss_kb = vm_rss_kb ();
         nt_bound_kb = netsim_rss_bound_kb;
       })
-    [ ("sfq", Disc.Sfq); ("sfq-fast", Disc.Sfq_fast); ("pifo-sfq", Disc.Pifo_sfq) ]
+    [ ("sfq", Disc.Sfq); ("pifo-sfq", Disc.Pifo_sfq) ]
 
 (* ------------------------------------------------------------------ *)
 (* E28: schedule-replay universality scoreboard (replay)               *)
@@ -719,13 +651,13 @@ let utc_timestamp () =
 
 let hostname () = try Unix.gethostname () with Unix.Unix_error _ -> "unknown"
 
-let emit_json ~quick ~domains ~flow_scaling ~depth_scaling ~fastpath ~pifo ~overhead
-    ~parallel ~netsim ~replay path =
+let emit_json ~quick ~domains ~flow_scaling ~depth_scaling ~pifo ~overhead ~parallel
+    ~netsim ~replay path =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"schema\": \"sfq-bench-sched/7\",\n  \"quick\": %b,\n  \"unit\": \"ns per enqueue+dequeue\",\n"
+       "  \"schema\": \"sfq-bench-sched/8\",\n  \"quick\": %b,\n  \"unit\": \"ns per enqueue+dequeue\",\n"
        quick);
   Buffer.add_string buf
     (Printf.sprintf
@@ -754,12 +686,12 @@ let emit_json ~quick ~domains ~flow_scaling ~depth_scaling ~fastpath ~pifo ~over
            (json_float m.p50) (json_float m.p99)))
     depth_scaling;
   Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf "  \"fastpath\": [\n";
+  Buffer.add_string buf "  \"pifo\": [\n";
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_string buf ",\n";
       let budget_fields =
-        match r.fp_budget with
+        match r.pr_budget with
         | None -> ""
         | Some (b : Sfq_oracle.Monitor.fairness_budget) ->
           Printf.sprintf
@@ -774,20 +706,8 @@ let emit_json ~quick ~domains ~flow_scaling ~depth_scaling ~fastpath ~pifo ~over
         (Printf.sprintf
            "    {\"discipline\": %S, \"flows\": %d, \"ns_per_packet\": %s, \
             \"ns_p50\": %s, \"ns_p99\": %s, \"allocations_per_packet\": %s%s}"
-           r.fp_disc r.fp_flows (json_float r.fp_ns) (json_float r.fp_p50)
-           (json_float r.fp_p99) (json_float r.fp_allocs) budget_fields))
-    fastpath;
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf "  \"pifo\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"discipline\": %S, \"flows\": %d, \"ns_per_packet\": %s, \
-            \"ns_p50\": %s, \"ns_p99\": %s, \"allocations_per_packet\": %s}"
-           r.fp_disc r.fp_flows (json_float r.fp_ns) (json_float r.fp_p50)
-           (json_float r.fp_p99) (json_float r.fp_allocs)))
+           r.pr_disc r.pr_flows (json_float r.pr_ns) (json_float r.pr_p50)
+           (json_float r.pr_p99) (json_float r.pr_allocs) budget_fields))
     pifo;
   Buffer.add_string buf "\n  ],\n";
   Buffer.add_string buf "  \"tracing_overhead\": [\n";
@@ -917,67 +837,40 @@ let run_micro ~quick ~domains () =
     \ heap grows with every queued packet and pays O(log Q), plus the GC\n\
     \ tax of one boxed heap entry per packet.)";
   print_newline ();
-  section "E25: fixed-point fast path — speed, allocations, fairness budget";
+  section "E26: rank programs on the PIFO runtime beside their float originals";
   (* audit (parallel safety): deliberately serial at any domain count —
      the allocation counter is a process-global Gc statistic, and the
-     sfq-vs-sfq-fast ns gate in bench_json is only honest when the two
-     rows contend with nothing but each other. *)
-  let fastpath = fastpath_rows ~quick () in
-  let ftable =
+     rank-program-vs-float rows are only comparable when they contend
+     with nothing but each other. *)
+  let pifo = pifo_rows ~quick () in
+  let ptable0 =
     Text_table.create
       [ "discipline"; "flows"; "ns/packet"; "allocs/packet"; "unfairness (bound)" ]
   in
   List.iter
     (fun r ->
-      Text_table.add_row ftable
+      Text_table.add_row ptable0
         [
-          r.fp_disc;
-          string_of_int r.fp_flows;
-          Printf.sprintf "%.0f" r.fp_ns;
-          Printf.sprintf "%.3f" r.fp_allocs;
-          (match r.fp_budget with
+          r.pr_disc;
+          string_of_int r.pr_flows;
+          Printf.sprintf "%.0f" r.pr_ns;
+          Printf.sprintf "%.3f" r.pr_allocs;
+          (match r.pr_budget with
           | None -> "-"
           | Some b ->
             Printf.sprintf "%.3f (%.3f)" b.Sfq_oracle.Monitor.max_h
               b.Sfq_oracle.Monitor.max_bound);
         ])
-    fastpath;
-  Text_table.print ftable;
-  print_endline
-    "(Native-API steppers: preallocated packets, constant clock, exn dequeues,\n\
-    \ so the float-vs-fixed-point rows compare scheduler interiors only. The\n\
-    \ fast schedulers allocate nothing in steady state — the validator fails\n\
-    \ the file if sfq-fast's allocation column ever leaves 0.000, or if it\n\
-    \ stops beating float sfq at 512 flows. sp-pifo's unfairness column is the\n\
-    \ worst measured Theorem-1 excess over the frozen theorem pool: the price\n\
-    \ of approximate rank order, recorded next to its speed.)";
-  print_newline ();
-  section "E26: PIFO rank-program runtime vs the hand-written fast path";
-  (* audit (parallel safety): serial for the same reason as E25 — the
-     allocation counter is process-global and the 15% pifo-sfq-vs-
-     sfq-fast gate in bench_json needs an uncontended core. *)
-  let pifo = pifo_rows ~quick () in
-  let ptable0 =
-    Text_table.create [ "discipline"; "flows"; "ns/packet"; "allocs/packet" ]
-  in
-  List.iter
-    (fun r ->
-      Text_table.add_row ptable0
-        [
-          r.fp_disc;
-          string_of_int r.fp_flows;
-          Printf.sprintf "%.0f" r.fp_ns;
-          Printf.sprintf "%.3f" r.fp_allocs;
-        ])
     pifo;
   Text_table.print ptable0;
   print_endline
-    "(The same disciplines expressed as ~20-line rank programs on the shared\n\
-    \ PIFO runtime (lib/pifo), under the same stepper as E25. The gap to the\n\
-    \ corresponding -fast row is the price of programmability: one closure\n\
-    \ dispatch per rank call against preallocated per-flow state. The\n\
-    \ validator rejects the file if pifo-sfq drifts more than 15% above\n\
-    \ sfq-fast at the largest flow count or ever allocates per packet.)";
+    "(Each rank program on the shared PIFO runtime (lib/pifo) next to its\n\
+    \ float original, under one native stepper: preallocated packets,\n\
+    \ constant clock, so the rows compare scheduler interiors only. The\n\
+    \ validator rejects the file if pifo-sfq ever allocates per packet.\n\
+    \ sp-pifo's unfairness column is the worst measured Theorem-1 excess over\n\
+    \ the frozen theorem pool: the price of approximate rank order, recorded\n\
+    \ next to its speed.)";
   print_newline ();
   section
     (Printf.sprintf "E22: sfq.obs tracer overhead (SFQ, %d flows x %d deep)"
@@ -1084,8 +977,8 @@ let run_micro ~quick ~domains () =
     \ the validator gates on them exactly — a replay regression or a vacuous\n\
     \ control flips the file to invalid.)";
   print_newline ();
-  emit_json ~quick ~domains ~flow_scaling ~depth_scaling ~fastpath ~pifo ~overhead
-    ~parallel ~netsim ~replay "BENCH_sched.json"
+  emit_json ~quick ~domains ~flow_scaling ~depth_scaling ~pifo ~overhead ~parallel
+    ~netsim ~replay "BENCH_sched.json"
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

@@ -253,14 +253,6 @@ let churn_cmd domains cycles window rss_limit_kb =
     List.iter (fun m -> Printf.eprintf "churn: FAIL: %s\n" m) (List.rev fs);
     1
 
-(* ------------------------------------------------------------------ *)
-(* fastpath: digest equivalence of the fixed-point schedulers against
-   their float originals over the frozen theorem pool, plus a verdict
-   check on the approximate sp-pifo cells. The outcome digests cover
-   departures, finish time, drops and monitor violations, so equality
-   here means the fast path drained the same traffic to the same
-   instant with every theorem monitor equally silent. *)
-
 let env_domains domains =
   if domains > 0 then domains
   else
@@ -268,100 +260,14 @@ let env_domains domains =
     | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
     | None -> 1
 
-let fastpath_cmd domains =
-  let domains = env_domains domains in
-  let fast = Suite.fastpath_cells () in
-  let prefixed p =
-    List.filter
-      (fun (c : Run.cell) ->
-        String.length c.Run.label >= String.length p
-        && String.sub c.Run.label 0 (String.length p) = p)
-      fast
-  in
-  (* float VC under the structural set over the same pool as vc-fast
-     (Suite's structural_cells use the override pool, so build the
-     comparable cells here) *)
-  let vc_cells =
-    List.mapi
-      (fun i w ->
-        {
-          Run.label = Printf.sprintf "vc#%d" i;
-          workload = w;
-          driver =
-            (fun () ->
-              {
-                Run.sched =
-                  Sfq_sched.Virtual_clock.sched
-                    (Sfq_sched.Virtual_clock.create
-                       (Sfq_base.Weights.of_list ~default:1.0 w.Workload.weights));
-                monitors = Suite.structural ();
-                on_reweight = None;
-              });
-        })
-      (Suite.theorem_pool ())
-  in
-  let failures = ref 0 in
-  let table = Text_table.create [ "pair"; "cells"; "identical"; "wall s" ] in
-  let check name base_cells fast_cells =
-    let (base, fast_out), wall_s =
-      wall_time (fun () ->
-          (Run.sweep ~domains base_cells, Run.sweep ~domains fast_cells))
-    in
-    let n = Array.length base in
-    let ok = ref 0 in
-    for i = 0 to n - 1 do
-      let db = Run.outcome_digest base.(i) and df = Run.outcome_digest fast_out.(i) in
-      if db = df then incr ok
-      else begin
-        incr failures;
-        Printf.eprintf "fastpath: MISMATCH %s cell %d:\n  float: %s\n  fast:  %s\n" name
-          i db df
-      end
-    done;
-    Text_table.add_row table
-      [ name; string_of_int n; Printf.sprintf "%d/%d" !ok n; Printf.sprintf "%.3f" wall_s ]
-  in
-  check "sfq = sfq-fast" (Suite.sfq_cells ()) (prefixed "sfq-fast#");
-  check "scfq = scfq-fast" (Suite.scfq_cells ()) (prefixed "scfq-fast#");
-  check "vc = vc-fast" vc_cells (prefixed "vc-fast#");
-  (* sp-pifo approximates rank order, so there is no float twin to
-     match — but its structural/conservation monitors must stay silent
-     (the relaxed fairness oracle never fails by construction). *)
-  let sp = prefixed "sp-pifo#" in
-  let sp_out, sp_wall = wall_time (fun () -> Run.sweep ~domains sp) in
-  let sp_ok = ref 0 in
-  Array.iteri
-    (fun i (o : Run.outcome) ->
-      if o.Run.violations = [] then incr sp_ok
-      else begin
-        incr failures;
-        List.iter
-          (fun v ->
-            Format.eprintf "fastpath: sp-pifo cell %d: %a@." i Monitor.pp_violation v)
-          o.Run.violations
-      end)
-    sp_out;
-  Text_table.add_row table
-    [
-      "sp-pifo clean";
-      string_of_int (Array.length sp_out);
-      Printf.sprintf "%d/%d" !sp_ok (Array.length sp_out);
-      Printf.sprintf "%.3f" sp_wall;
-    ];
-  Text_table.print table;
-  if !failures = 0 then begin
-    Printf.printf "fastpath: OK (%d domain(s))\n" domains;
-    0
-  end
-  else begin
-    Printf.eprintf "fastpath: %d failure(s)\n" !failures;
-    1
-  end
-
 (* ------------------------------------------------------------------ *)
-(* pifo: the same digest-equivalence contract for the programmable
-   runtime — every Programs rank program against its hand-written
-   original, over the pifo_cells slice of the theorem pool. *)
+(* pifo: digest equivalence of every Programs rank program against
+   its float original, over the pifo_cells slice of the theorem pool,
+   plus a verdict check on the approximate sp-pifo cells. The outcome
+   digests cover departures, finish time, drops and monitor
+   violations, so equality here means the rank program drained the
+   same traffic to the same instant with every theorem monitor equally
+   silent. *)
 
 let pifo_cmd domains =
   let domains = env_domains domains in
@@ -438,6 +344,30 @@ let pifo_cmd domains =
          Sfq_sched.Wf2q.sched
            (Sfq_sched.Wf2q.create ~capacity:w.Workload.capacity (weights_of w))))
     (prefixed "pifo-wf2q#");
+  (* sp-pifo approximates rank order, so there is no float twin to
+     match — but its structural/conservation monitors must stay silent
+     (the relaxed fairness oracle never fails by construction). *)
+  let sp_out, sp_wall =
+    wall_time (fun () -> Run.sweep ~domains (Suite.sp_pifo_cells ()))
+  in
+  let sp_ok = ref 0 in
+  Array.iteri
+    (fun i (o : Run.outcome) ->
+      if o.Run.violations = [] then incr sp_ok
+      else begin
+        incr failures;
+        List.iter
+          (fun v -> Format.eprintf "pifo: sp-pifo cell %d: %a@." i Monitor.pp_violation v)
+          o.Run.violations
+      end)
+    sp_out;
+  Text_table.add_row table
+    [
+      "sp-pifo clean";
+      string_of_int (Array.length sp_out);
+      Printf.sprintf "%d/%d" !sp_ok (Array.length sp_out);
+      Printf.sprintf "%.3f" sp_wall;
+    ];
   Text_table.print table;
   if !failures = 0 then begin
     Printf.printf "pifo: OK (%d domain(s))\n" domains;
@@ -677,23 +607,11 @@ let churn_cmd_t =
           SFQ, asserting id recycling, packet conservation and an RSS growth bound")
     churn_t
 
-let fastpath_domains_arg =
+let sweep_domains_arg =
   Arg.(
     value & opt int 0
     & info [ "domains" ] ~docv:"N"
         ~doc:"Sweep domains (0 = \\$SFQ_DOMAINS, or 1 if unset).")
-
-let fastpath_t =
-  Term.(const (fun d -> Stdlib.exit (fastpath_cmd d)) $ fastpath_domains_arg)
-
-let fastpath_cmd_t =
-  Cmd.v
-    (Cmd.info "fastpath"
-       ~doc:
-         "Check the fixed-point fast path: cell-by-cell outcome-digest equality of \
-          sfq-fast/scfq-fast/vc-fast against their float originals over the frozen \
-          theorem pool, and a clean-verdict check on the approximate sp-pifo cells")
-    fastpath_t
 
 let net_seed_arg =
   Arg.(
@@ -718,7 +636,7 @@ let net_rss_limit_arg =
 let net_t =
   Term.(
     const (fun d s sc r -> Stdlib.exit (net_cmd d s sc r))
-    $ fastpath_domains_arg $ net_seed_arg $ scale_arg $ net_rss_limit_arg)
+    $ sweep_domains_arg $ net_seed_arg $ scale_arg $ net_rss_limit_arg)
 
 let net_cmd_t =
   Cmd.v
@@ -741,7 +659,7 @@ let replay_limit_arg =
 let replay_t =
   Term.(
     const (fun d l -> Stdlib.exit (replay_cmd d l))
-    $ fastpath_domains_arg $ replay_limit_arg)
+    $ sweep_domains_arg $ replay_limit_arg)
 
 let replay_cmd_t =
   Cmd.v
@@ -755,7 +673,7 @@ let replay_cmd_t =
           lstf-priority-tie mutant kills")
     replay_t
 
-let pifo_t = Term.(const (fun d -> Stdlib.exit (pifo_cmd d)) $ fastpath_domains_arg)
+let pifo_t = Term.(const (fun d -> Stdlib.exit (pifo_cmd d)) $ sweep_domains_arg)
 
 let pifo_cmd_t =
   Cmd.v
@@ -763,7 +681,8 @@ let pifo_cmd_t =
        ~doc:
          "Check the programmable PIFO runtime: cell-by-cell outcome-digest equality \
           of every rank-program port (pifo-sfq/scfq/vc/edd/fqs/wf2q) against its \
-          hand-written original over the frozen theorem pool")
+          float original over the frozen theorem pool, and a clean-verdict check on \
+          the approximate sp-pifo cells")
     pifo_t
 
 let () =
@@ -777,7 +696,6 @@ let () =
             list_cmd_t;
             golden_cmd_t;
             churn_cmd_t;
-            fastpath_cmd_t;
             pifo_cmd_t;
             net_cmd_t;
             replay_cmd_t;

@@ -121,8 +121,8 @@ let workloads =
 
 let disciplines =
   [ "sfq"; "scfq"; "fifo"; "drr"; "wrr"; "virtual-clock"; "wfq"; "wfq-real";
-    "fqs"; "wf2q"; "fair-airport"; "sfq-fast"; "scfq-fast"; "vc-fast"; "sp-pifo";
-    "pifo-sfq"; "pifo-scfq"; "pifo-vc"; "pifo-fqs"; "pifo-wf2q" ]
+    "fqs"; "wf2q"; "fair-airport"; "sp-pifo"; "pifo-sfq"; "pifo-scfq"; "pifo-vc";
+    "pifo-fqs"; "pifo-wf2q" ]
 
 (* Returns the sched, a v(t) sampler when the discipline has one, and
    — for SFQ — wires the tag hook so Tag events carry real tags. *)
@@ -139,15 +139,9 @@ let make_sched name tracer (w : Workload.t) =
   | "scfq" ->
     let t = Sfq_sched.Scfq.create weights in
     (Sfq_sched.Scfq.sched t, Some (fun () -> Sfq_sched.Scfq.vtime t))
-  | "sfq-fast" ->
-    let t = Sfq_fastpath.Sfq_fast.create weights in
-    (Sfq_fastpath.Sfq_fast.sched t, Some (fun () -> Sfq_fastpath.Sfq_fast.vtime t))
-  | "scfq-fast" ->
-    let t = Sfq_fastpath.Scfq_fast.create weights in
-    (Sfq_fastpath.Scfq_fast.sched t, Some (fun () -> Sfq_fastpath.Scfq_fast.vtime t))
   | "sp-pifo" ->
-    let t = Sfq_fastpath.Sp_pifo.create weights in
-    (Sfq_fastpath.Sp_pifo.sched t, Some (fun () -> Sfq_fastpath.Sp_pifo.vtime t))
+    let t = Sfq_pifo.Sp_pifo.create weights in
+    (Sfq_pifo.Sp_pifo.sched t, Some (fun () -> Sfq_pifo.Sp_pifo.vtime t))
   | "pifo-sfq" ->
     let t = Sfq_pifo.Pifo_sched.create (Sfq_pifo.Programs.sfq weights) in
     (Sfq_pifo.Pifo_sched.sched t, Some (fun () -> Sfq_pifo.Pifo_sched.vtime t))
@@ -166,7 +160,6 @@ let make_sched name tracer (w : Workload.t) =
       | "fqs" -> Sfq_experiments.Disc.Fqs { capacity = cap }
       | "wf2q" -> Sfq_experiments.Disc.Wf2q { capacity = cap }
       | "fair-airport" -> Sfq_experiments.Disc.Fair_airport
-      | "vc-fast" -> Sfq_experiments.Disc.Virtual_clock_fast
       | "pifo-vc" -> Sfq_experiments.Disc.Pifo_vc
       | "pifo-fqs" -> Sfq_experiments.Disc.Pifo_fqs { capacity = cap }
       | "pifo-wf2q" -> Sfq_experiments.Disc.Pifo_wf2q { capacity = cap }

@@ -13,9 +13,6 @@ type spec =
   | Virtual_clock
   | Fair_airport
   | Fifo
-  | Sfq_fast
-  | Scfq_fast
-  | Virtual_clock_fast
   | Sp_pifo of { banks : int }
   | Pifo_sfq
   | Pifo_scfq
@@ -43,9 +40,6 @@ let name = function
   | Virtual_clock -> "VirtualClock"
   | Fair_airport -> "FairAirport"
   | Fifo -> "FIFO"
-  | Sfq_fast -> "SFQ-fast"
-  | Scfq_fast -> "SCFQ-fast"
-  | Virtual_clock_fast -> "VirtualClock-fast"
   | Sp_pifo { banks } -> Printf.sprintf "SP-PIFO/%d" banks
   | Pifo_sfq -> "PIFO-SFQ"
   | Pifo_scfq -> "PIFO-SCFQ"
@@ -70,12 +64,7 @@ let make spec weights =
   | Virtual_clock -> Virtual_clock.sched (Virtual_clock.create weights)
   | Fair_airport -> Fair_airport.sched (Fair_airport.create weights)
   | Fifo -> Fifo.sched (Fifo.create ())
-  | Sfq_fast -> Sfq_fastpath.Sfq_fast.sched (Sfq_fastpath.Sfq_fast.create weights)
-  | Scfq_fast -> Sfq_fastpath.Scfq_fast.sched (Sfq_fastpath.Scfq_fast.create weights)
-  | Virtual_clock_fast ->
-    Sfq_fastpath.Virtual_clock_fast.sched (Sfq_fastpath.Virtual_clock_fast.create weights)
-  | Sp_pifo { banks } ->
-    Sfq_fastpath.Sp_pifo.sched (Sfq_fastpath.Sp_pifo.create ~banks weights)
+  | Sp_pifo { banks } -> Sfq_pifo.Sp_pifo.sched (Sfq_pifo.Sp_pifo.create ~banks weights)
   | Pifo_sfq -> pifo (Sfq_pifo.Programs.sfq weights)
   | Pifo_scfq -> pifo (Sfq_pifo.Programs.scfq weights)
   | Pifo_vc -> pifo (Sfq_pifo.Programs.virtual_clock weights)

@@ -18,12 +18,9 @@ type spec =
   | Virtual_clock
   | Fair_airport
   | Fifo
-  | Sfq_fast  (** fixed-point SFQ ({!Sfq_fastpath.Sfq_fast}), default quantum *)
-  | Scfq_fast
-  | Virtual_clock_fast
   | Sp_pifo of { banks : int }
       (** approximate rank order on [banks] strict-priority FIFOs
-          ({!Sfq_fastpath.Sp_pifo}) *)
+          ({!Sfq_pifo.Sp_pifo}) *)
   | Pifo_sfq  (** SFQ as a rank program on the PIFO runtime ({!Sfq_pifo.Programs}) *)
   | Pifo_scfq
   | Pifo_vc

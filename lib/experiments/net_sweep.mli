@@ -74,7 +74,7 @@ val scenario :
     flows, no churn, unbuffered, load 0.5 on a 2{^20} b/s core with
     equal access links, 2{^-10} s propagation, monitors on, 4
     checkpoints, seed [0x5eed]. Rates and lengths are dyadic so the
-    fixed-point fast paths tag exactly. Reserved rates sum to C/4 and
+    int-tag rank programs tag exactly. Reserved rates sum to C/4 and
     background reservations to at most C/4 — the [Σ r_n <= C] premise
     of Thm 4 holds with 2x headroom for draining ids.
     @raise Invalid_argument on degenerate sizing. *)
@@ -131,10 +131,12 @@ val sweep_digest : scenario list -> outcome array -> string
 
 val default_cells : ?root:int -> unit -> scenario list
 (** The standard grid — {star4, line3, tree2x2, dumbbell3x2} × {sfq,
-    scfq, sfq-fast, pifo-sfq, drr} × 2 seed replicates — plus one
-    churn-heavy overloaded star8 cell with finite Drop_front buffers.
-    Cell seeds derive from [root] (default [0x7e57]) by index.
-    Append-only: test_par and the golden corpus digest these labels. *)
+    scfq, pifo-sfq, drr} × 2 seed replicates, 32 cells — plus one
+    churn-heavy overloaded star8 cell under pifo-sfq with finite
+    Drop_front buffers. Cell seeds derive from [root] (default
+    [0x7e57]) by a frozen per-discipline seed index, so a cell keeps
+    its seed when a discipline leaves the grid. test_par and the
+    golden corpus digest these labels. *)
 
 val scale_star :
   ?flows:int ->

@@ -211,8 +211,6 @@ let close_flow t flow =
   List.iter (fun h -> h ~flow flushed) t.close_handlers;
   flushed
 
-let kick t = start_service t
-
 let on_inject t h = t.inject_handlers <- append t.inject_handlers h
 let on_drop t h = t.drop_handlers <- append t.drop_handlers (fun ~reason:_ p -> h p)
 let on_drop_reason t h = t.drop_handlers <- append t.drop_handlers h

@@ -61,12 +61,6 @@ val inject : t -> Packet.t -> unit
 val inject_priority : t -> Packet.t -> unit
 (** Enqueue at the strict-priority FIFO (never dropped). *)
 
-val kick : t -> unit
-(** Re-poll the discipline if the server is idle. Work-conserving
-    disciplines never need this; non-work-conserving ones (Jitter EDD's
-    regulator) call it from a timer when a held packet becomes
-    eligible. *)
-
 val on_inject : t -> (Packet.t -> unit) -> unit
 (** Add an arrival handler (fires for accepted packets only). *)
 

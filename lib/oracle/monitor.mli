@@ -128,7 +128,7 @@ val fairness_measured :
     {!Sfq_core.Bounds.h_sfq}) and makes it available through the
     returned thunk (valid after {!finalize}; {!empty_budget} before).
     This is the audit channel for approximate schedulers such as
-    {!Sfq_fastpath.Sp_pifo}, whose fairness loss is a measured budget
+    {!Sfq_pifo.Sp_pifo}, whose fairness loss is a measured budget
     rather than a guaranteed bound. *)
 
 val sfq_delay :

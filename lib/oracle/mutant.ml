@@ -34,7 +34,6 @@ let name = function
    certifies that the oracle suite sees through the runtime, not just
    through the hand-written clone below. *)
 let pifo_sched mode weights =
-  let open Sfq_fastpath in
   let open Sfq_pifo in
   let fs = Flow_state.create weights in
   let v = ref 0 and mfs = ref 0 in

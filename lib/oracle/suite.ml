@@ -218,51 +218,29 @@ let stress_cells ?(pool = stress_pool ()) () =
            (discipline_factories w))
        pool)
 
-(* Fast-path cells: the exact fixed-point schedulers face the same
-   theorem sets as their float originals (equivalence is the point, so
-   any quantization-induced violation must surface); vc-fast, like the
-   float Virtual Clock, only carries structural invariants; sp-pifo is
-   approximate by design, so it gets the structural/conservation checks
-   plus the *relaxed* fairness oracle, which measures a budget and
-   never fails. *)
-let fastpath_cells ?(pool = theorem_pool ()) () =
-  let open Sfq_fastpath in
-  cells ~what:"sfq-fast" pool ~driver:(fun w ->
-      let s = Sfq_fast.create (weights_of w) in
+(* SP-PIFO approximates rank order by design, so it gets the
+   structural/conservation checks plus the *relaxed* fairness oracle,
+   which measures a budget and never fails. *)
+let sp_pifo_cells ?(pool = theorem_pool ()) () =
+  cells ~what:"sp-pifo" pool ~driver:(fun w ->
+      let s = Sfq_pifo.Sp_pifo.create (weights_of w) in
+      let sched = Sfq_pifo.Sp_pifo.sched s in
+      let budget, _ = Monitor.fairness_measured ~rate:(Workload.rate_of w) () in
       {
-        Run.sched = Sfq_fast.sched s;
-        monitors = sfq_set w ~vtime:(fun () -> Sfq_fast.vtime s);
+        Run.sched = sched;
+        monitors =
+          [
+            Monitor.work_conserving ();
+            Monitor.conservation ~size:sched.Sched.size ();
+            budget;
+          ];
         on_reweight = None;
       })
-  @ cells ~what:"scfq-fast" pool ~driver:(fun w ->
-        let s = Scfq_fast.create (weights_of w) in
-        {
-          Run.sched = Scfq_fast.sched s;
-          monitors = scfq_set w ~vtime:(fun () -> Scfq_fast.vtime s);
-          on_reweight = None;
-        })
-  @ cells ~what:"vc-fast" pool ~driver:(fun w ->
-        let s = Virtual_clock_fast.create (weights_of w) in
-        { Run.sched = Virtual_clock_fast.sched s; monitors = structural (); on_reweight = None })
-  @ cells ~what:"sp-pifo" pool ~driver:(fun w ->
-        let s = Sp_pifo.create (weights_of w) in
-        let sched = Sp_pifo.sched s in
-        let budget, _ = Monitor.fairness_measured ~rate:(Workload.rate_of w) () in
-        {
-          Run.sched = sched;
-          monitors =
-            [
-              Monitor.work_conserving ();
-              Monitor.conservation ~size:sched.Sched.size ();
-              budget;
-            ];
-          on_reweight = None;
-        })
 
 (* Rank-program cells: every Programs port through the Pifo_sched
-   runtime faces the same monitor set as its hand-written counterpart
-   over a 90-trace slice of the theorem pool — pifo-sfq/pifo-scfq keep
-   the full theorem sets (equivalence with the fast path is the
+   runtime faces the same monitor set as its float original over a
+   90-trace slice of the theorem pool — pifo-sfq/pifo-scfq keep the
+   full theorem sets (equivalence with the float original is the
    point), the clock- and GPS-driven ports carry the structural
    invariants like their float originals in [structural_cells]. *)
 let pifo_cells ?(pool = theorem_pool ()) () =
@@ -304,7 +282,7 @@ let pifo_cells ?(pool = theorem_pool ()) () =
 
 let all_cells () =
   sfq_cells () @ scfq_cells () @ sfq_override_cells () @ structural_cells ()
-  @ reweight_cells () @ stress_cells () @ fastpath_cells () @ pifo_cells ()
+  @ reweight_cells () @ stress_cells () @ sp_pifo_cells () @ pifo_cells ()
 
 (* The full SFQ theorem set presupposes a loss-free run, so the
    buffer-overflow mutant gets the stress set (its expected monitor,

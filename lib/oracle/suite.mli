@@ -71,14 +71,11 @@ val stress_cells : ?pool:Workload.t list -> unit -> Run.cell list
 (** All nine disciplines under {!stress_set} over the churn/overload
     {!stress_pool} by default; labels ["<disc>+stress#i"]. *)
 
-val fastpath_cells : ?pool:Workload.t list -> unit -> Run.cell list
-(** The fixed-point fast path over [pool] (default {!theorem_pool}):
-    sfq-fast under the full SFQ theorem set, scfq-fast under the SCFQ
-    set, vc-fast under the structural invariants, and sp-pifo under
-    structural + conservation + the {e relaxed} fairness oracle
-    ({!Monitor.fairness_measured}, which records a budget and never
-    fails). Labels ["sfq-fast#i"], ["scfq-fast#i"], ["vc-fast#i"],
-    ["sp-pifo#i"]. *)
+val sp_pifo_cells : ?pool:Workload.t list -> unit -> Run.cell list
+(** {!Sfq_pifo.Sp_pifo} over [pool] (default {!theorem_pool}) under
+    work conservation + the conservation law + the {e relaxed}
+    fairness oracle ({!Monitor.fairness_measured}, which records a
+    budget and never fails). Labels ["sp-pifo#i"]. *)
 
 val pifo_cells : ?pool:Workload.t list -> unit -> Run.cell list
 (** Every {!Sfq_pifo.Programs} rank program through the
@@ -92,10 +89,8 @@ val pifo_cells : ?pool:Workload.t list -> unit -> Run.cell list
 val all_cells : unit -> Run.cell list
 (** The whole acceptance sweep, in a fixed order: {!sfq_cells},
     {!scfq_cells}, {!sfq_override_cells}, {!structural_cells},
-    {!reweight_cells}, {!stress_cells}, {!fastpath_cells},
-    {!pifo_cells} — 2700 cells. Cells are only ever appended, so
-    registry indices (and the seeds derived from them) stay stable
-    across versions. *)
+    {!reweight_cells}, {!stress_cells}, {!sp_pifo_cells},
+    {!pifo_cells} — 2580 cells. *)
 
 val mutant_cells : unit -> (Mutant.mode * Run.cell) list
 (** One cell per seeded bug: the mutant scheduler under the full SFQ

@@ -140,8 +140,13 @@ let map ?(chunk = 1) t ~f tasks =
       Array.map (function Some v -> v | None -> assert false) results
   end
 
+(* One domain needs no pool: run in the caller, which may itself be a
+   pool task. Leaving [inside_task] untouched matters there — the pool
+   path clears it on exit, which would unmark the enclosing task. *)
 let run ?chunk ~domains ~f tasks =
-  let t = create ~domains in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> map ?chunk t ~f tasks)
+  if domains = 1 then Array.mapi f tasks
+  else
+    let t = create ~domains in
+    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> map ?chunk t ~f tasks)
 
 let default_domains () = Domain.recommended_domain_count ()

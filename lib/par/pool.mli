@@ -51,7 +51,11 @@ val shutdown : t -> unit
 
 val run : ?chunk:int -> domains:int -> f:(int -> 'a -> 'b) -> 'a array -> 'b array
 (** One-shot [create] / [map] / [shutdown] (shutdown runs even when a
-    task raises). *)
+    task raises). [domains = 1] creates no pool: the tasks run in index
+    order in the caller, so [run ~domains:1] may be called from inside
+    a pool task, and the first task to raise (the smallest index) stops
+    the loop and propagates.
+    @raise Invalid_argument if [domains < 1]. *)
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()], the hardware-sized default

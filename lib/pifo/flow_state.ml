@@ -1,5 +1,4 @@
 open Sfq_base
-open Sfq_fastpath
 
 (* Every array is indexed by the runtime's link-local flow slot, not by
    flow id, so it is sized by the flows the link carries at once. *)
@@ -28,8 +27,8 @@ let grow t slot =
   Array.blit t.sor 0 sor 0 n;
   t.sor <- sor
 
-(* Cold path: first packet of a flow activation (see Sfq_fast). The
-   weight function is keyed by flow id; only the cache is per slot. *)
+(* Cold path: first packet of a flow activation. The weight function
+   is keyed by flow id; only the cache is per slot. *)
 let activate t slot pkt =
   t.sor.(slot) <- Tag.scale_over t.codec ~rate:(Weights.get t.weights pkt.Packet.flow)
 
@@ -41,9 +40,8 @@ let ensure t slot pkt =
   if slot >= Array.length t.tag then grow t slot;
   if t.sor.(slot) <= 0.0 then activate t slot pkt
 
-(* The delta multiply+round is written out inline in both branches, as
-   in the hand-written fast-path schedulers, so no float crosses a
-   function boundary on the steady path. *)
+(* The delta multiply+round is written out inline in both branches so
+   no float crosses a function boundary on the steady path. *)
 let delta t ~slot pkt =
   ensure t slot pkt;
   let sor = t.sor.(slot) in
@@ -63,11 +61,10 @@ let delta t ~slot pkt =
 
 (* Fused per-packet updates for the common rank-program shapes. Each
    does the whole grow/activate/delta/read/max/add/store sequence in
-   one body behind a single module-boundary call, mirroring the
-   hand-written fast-path enqueues — the separate delta/get/set
-   entry points above cost three calls and three bounds checks per
-   packet, which is most of the rank-program dispatch premium the
-   bench validator budgets. The stored tag lands in [t.last] so the
+   one body behind a single module-boundary call — the separate
+   delta/get/set entry points above cost three calls and three bounds
+   checks per packet, which was most of the rank-program dispatch
+   premium. The stored tag lands in [t.last] so the
    caller can publish it (e.g. into [regs.aux]) without a tuple. *)
 
 let advance t ~slot ~floor pkt =

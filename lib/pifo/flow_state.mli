@@ -1,10 +1,9 @@
 (** Dense fixed-point per-flow state for rank programs, indexed by the
     runtime's link-local flow slot.
 
-    The factored-out array layout of {!Sfq_fastpath.Sfq_fast}: one int
-    tag per slot (finish tag, EAT floor — whatever the program stores)
-    and a cached [scale /. rate] float so a packet's virtual length is
-    one multiply + round. {!Pifo_sched} hands every rank-program hook
+    One int tag per slot (finish tag, EAT floor — whatever the program
+    stores) and a cached [scale /. rate] float so a packet's virtual
+    length is one multiply + round. {!Pifo_sched} hands every rank-program hook
     the flow's slot ({!Sfq_util.Slot_map}): slots are assigned on a
     flow's first enqueue at the link and freed when it closes, so these
     arrays are sized by the flows the link carries at once, not by the
@@ -13,22 +12,21 @@
     built on this module stays allocation-free in steady state even
     across the module boundary (nothing here forces a float box).
 
-    Growth, activation (first packet in a slot since creation or
-    {!forget}) and the [Weights.get] snapshot behave exactly as in the
-    hand-written fast-path schedulers: the weight function is read
-    (by the packet's flow id) once per flow activation and cached until
-    {!forget}, which is the documented fast-path divergence from the
-    float originals under mid-backlog reweighting. *)
+    Activation (first packet in a slot since creation or {!forget})
+    snapshots the weight: the weight function is read (by the packet's
+    flow id) once per flow activation and cached until {!forget}, which
+    is the documented int-tag divergence from the float originals under
+    mid-backlog reweighting. *)
 
 open Sfq_base
 
 type t
 
 val create : ?frac_bits:int -> Weights.t -> t
-(** Fresh state over a {!Sfq_fastpath.Tag} codec with [frac_bits]
+(** Fresh state over a {!Tag} codec with [frac_bits]
     fractional bits (default 20). *)
 
-val codec : t -> Sfq_fastpath.Tag.t
+val codec : t -> Tag.t
 
 val delta : t -> slot:int -> Packet.t -> int
 (** The packet's tag increment [round (len * scale / rate)], clamped to
@@ -74,8 +72,7 @@ val set : t -> int -> int -> unit
 
 val now_tag : t -> float -> int
 (** Real time encoded as a tag: [round (now * scale)], negative clocks
-    clamping to 0 (the slot default) and the rail saturating — the
-    {!Sfq_fastpath.Virtual_clock_fast} convention. *)
+    clamping to 0 (the slot default) and the rail saturating. *)
 
 val clear : t -> unit
 (** Zero every tag, keeping rate caches — SCFQ's idle reset. *)

@@ -1,7 +1,6 @@
 open Sfq_util
 open Sfq_base
 open Sfq_sched
-open Sfq_fastpath
 
 type t = {
   prog : Rank_program.t;
@@ -27,8 +26,8 @@ type t = {
   eligible : Packet.t Iheap.t;  (* shaped: service stage *)
   mutable counts : int array;  (* shaped per-slot backlog *)
   (* Per-slot encoded tie cache, filled on first use and reset by
-     close_flow — the same activation snapshot the hand-written fast
-     path takes. *)
+     close_flow: the tie is snapshotted at activation, like the
+     weight in Flow_state. *)
   mutable ties : int array;
   mutable tie_ok : bool array;
   mutable high : int;  (* largest clamped rank ever admitted *)

@@ -4,13 +4,12 @@
     The runtime owns everything that is {e not} discipline logic —
     which, per Alcoz & Vass et al. ("Everything Matters in Programmable
     Packet Scheduling"), is where scheduler correctness actually
-    lives: admission (rank clamping at the {!Sfq_fastpath.Tag}
-    saturation rail — ranks saturate, never wrap), FIFO-stable tie
-    resolution (the {!Sfq_sched.Iflow_heap} [(key, tie, uid)] contract,
-    with per-flow tie values cached at activation exactly like the
-    hand-written fast path), the evict/close lifecycle (DESIGN.md §10),
-    and the optional two-stage shaper for {!Rank_program.shaped}
-    disciplines.
+    lives: admission (rank clamping at the {!Tag} saturation rail —
+    ranks saturate, never wrap), FIFO-stable tie resolution (the
+    {!Sfq_sched.Iflow_heap} [(key, tie, uid)] contract, with per-flow
+    tie values cached at activation), the evict/close lifecycle
+    (DESIGN.md §10), and the optional two-stage shaper for
+    {!Rank_program.shaped} disciplines.
 
     Flow slots: a flow gets a small link-local slot
     ({!Sfq_util.Slot_map}) on its first enqueue and gives it up in
@@ -90,7 +89,7 @@ val high_tag : t -> int
 (** Largest (clamped) rank ever admitted. *)
 
 val saturated : t -> bool
-(** Has any admitted rank hit the {!Sfq_fastpath.Tag.max_tag} rail? *)
+(** Has any admitted rank hit the {!Tag.max_tag} rail? *)
 
 val program : t -> Rank_program.t
 

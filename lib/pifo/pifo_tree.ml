@@ -1,6 +1,5 @@
 open Sfq_util
 open Sfq_base
-open Sfq_fastpath
 
 type node = {
   owner : int;  (* hierarchy id, to reject foreign class handles *)

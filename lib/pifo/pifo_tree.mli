@@ -11,7 +11,7 @@
     non-empty.
 
     Tag mechanics per child edge are {!Sfq_core.Hsfq}'s, in
-    {!Sfq_fastpath.Tag} fixed point: on activation
+    {!Tag} fixed point: on activation
     [S = max (v_parent, F_prev)]; on emission the head packet's length
     fixes [F = S + l/w] and [v_parent <- S]; a still-backlogged child
     re-enters at [S' = F]. A class whose subtree empties leaves its

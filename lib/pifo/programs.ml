@@ -1,6 +1,5 @@
 open Sfq_base
 open Sfq_sched
-open Sfq_fastpath
 open Rank_program
 
 let sfq ?(busy_rule = Sfq_core.Sfq.Idle_poll) ?frac_bits weights =

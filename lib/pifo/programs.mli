@@ -7,8 +7,8 @@
     programs, outcome-digest over the frozen pools for the GPS-clocked
     ones (whose tags involve non-dyadic fluid divisions).
 
-    Quantization and rate-snapshot caveats are those of the fixed-point
-    fast path (see {!Sfq_fastpath.Tag} and {!Flow_state}). Tie-breaking
+    Quantization and rate-snapshot caveats are those of the int tags
+    (see {!Tag} and {!Flow_state}). Tie-breaking
     configuration ([Tag_queue.tie]) belongs to the runtime, not the
     program: pass it to {!Pifo_sched.create}. *)
 

@@ -8,17 +8,17 @@
     part (b). A discipline port is a value of {!t}: a record of
     closures over the program's hidden per-flow state, mirroring the
     repo's {!Sfq_base.Sched} convention so the runtime can call the
-    hooks without functor plumbing and — critically for the SFQ fast
+    hooks without functor plumbing and — critically for the per-packet
     path — without allocating.
 
     The hot contract: {!t.rank} returns the packet's int service rank
-    (a {!Sfq_fastpath.Tag}-scaled virtual time in every shipped
+    (a {!Tag}-scaled virtual time in every shipped
     program, though the runtime only requires ranks to be
     order-meaningful ints). Additional per-packet outputs travel
     through the pre-allocated {!regs} cell rather than a result record,
     so a rank call is closure dispatch + int stores — no tuple, no
     boxing. The runtime clamps returned ranks into [[0, Tag.max_tag]]
-    (saturate, never wrap; see the {!Sfq_fastpath.Tag} overflow
+    (saturate, never wrap; see the {!Tag} overflow
     discussion).
 
     Virtual-time bookkeeping happens in {!t.on_dequeue} (called with

@@ -1,7 +1,7 @@
 open Sfq_util
 open Sfq_base
 
-(* Int-keyed sibling of Flow_heap for the fixed-point fast path: same
+(* Int-keyed sibling of Flow_heap for the int-rank PIFO runtime: same
    per-flow circular rings + heads-only heap, but every ordering field
    is an int (scaled tag / encoded tie / arrival uid) and the pop path
    deposits the removed entry's fields into scratch slots instead of

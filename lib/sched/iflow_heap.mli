@@ -1,8 +1,8 @@
-(** Int-keyed sibling of {!Flow_heap} for the fixed-point fast path.
+(** Int-keyed sibling of {!Flow_heap} for the int-rank PIFO runtime.
 
     Same structure — one FIFO ring per flow, heads-only min-heap, O(log
     F) pops flat in queued packets — but every ordering field is an int
-    (a {!Sfq_fastpath.Tag} scaled virtual time, an order-preserving int
+    (a {!Sfq_pifo.Tag} scaled virtual time, an order-preserving int
     encoding of the tie value, and the push-order uid), and the hot
     dequeue path is allocation-free: {!pop_exn} returns the payload
     directly and deposits the removed entry's ordering fields in
@@ -15,9 +15,8 @@
     differential suite relies on this matching the float heap's order.
 
     A "flow" here is the caller's key, any non-negative int that groups
-    entries into one FIFO: the hand-written fast-path schedulers pass
-    flow ids, {!Sfq_pifo.Pifo_sched} passes its link-local flow slots,
-    and {!popped.flow} and {!last_flow} return that key. The ring table
+    entries into one FIFO: {!Sfq_pifo.Pifo_sched} passes its link-local
+    flow slots, and {!popped.flow} and {!last_flow} return that key. The ring table
     is a {!Sfq_base.Flow_table}, dense up to the largest key, so compact
     keys keep it compact. An idle flow holds no ring unless its ring
     grew past 8 slots (see {!ring_capacity}).

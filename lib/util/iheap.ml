@@ -3,8 +3,8 @@
    The integer sibling of {!Fheap}: same hole-based sifts, same slab
    layout, but every ordering field is a native int, so a sift step is
    integer loads and compares only — no float compares, no boxing
-   anywhere. Used by the fixed-point fast-path schedulers, whose tags
-   are scaled int63 virtual times (see Sfq_fastpath.Tag).
+   anywhere. Used by the int-rank PIFO runtime, whose tags are scaled
+   int63 virtual times (see Sfq_pifo.Tag).
 
    The root can be inspected and removed without constructing an
    option or a tuple ([min_key_exn] / [min_elt_exn] / [remove_root]),

@@ -172,95 +172,6 @@ let test_max_pairwise () =
   check_bool "max dominates" true (hmax >= h12)
 
 (* ------------------------------------------------------------------ *)
-(* Csv_out                                                              *)
-
-let test_csv_escape () =
-  Alcotest.(check string) "plain" "abc" (Csv_out.escape "abc");
-  Alcotest.(check string) "comma" "\"a,b\"" (Csv_out.escape "a,b");
-  Alcotest.(check string) "quote" "\"a\"\"b\"" (Csv_out.escape "a\"b")
-
-let test_csv_to_string () =
-  Alcotest.(check string) "document" "x,y\n1,2\n3,4\n"
-    (Csv_out.to_string ~header:[ "x"; "y" ] ~rows:[ [ "1"; "2" ]; [ "3"; "4" ] ])
-
-let test_csv_of_series () =
-  Alcotest.(check (list (list string))) "series"
-    [ [ "0.5"; "2" ]; [ "1"; "3" ] ]
-    (Csv_out.of_series [ (0.5, 2.0); (1.0, 3.0) ])
-
-let test_csv_write_roundtrip () =
-  let path = Filename.temp_file "sfq" ".csv" in
-  Csv_out.write ~path ~header:[ "a" ] ~rows:[ [ "1" ] ];
-  let ic = open_in path in
-  let content = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove path;
-  Alcotest.(check string) "roundtrip" "a\n1\n" content
-
-(* A minimal RFC-4180 reader: the inverse of Csv_out's writer, for the
-   round-trip property. Csv_out quotes whole cells, so a quote can only
-   open a cell. *)
-let parse_csv s =
-  let n = String.length s in
-  let rows = ref [] and row = ref [] and buf = Buffer.create 16 in
-  let i = ref 0 in
-  let flush_cell () =
-    row := Buffer.contents buf :: !row;
-    Buffer.clear buf
-  in
-  let flush_row () =
-    flush_cell ();
-    rows := List.rev !row :: !rows;
-    row := []
-  in
-  while !i < n do
-    match s.[!i] with
-    | '"' ->
-      incr i;
-      let fin = ref false in
-      while not !fin do
-        if !i >= n then failwith "unterminated quote"
-        else if s.[!i] = '"' then
-          if !i + 1 < n && s.[!i + 1] = '"' then begin
-            Buffer.add_char buf '"';
-            i := !i + 2
-          end
-          else begin
-            fin := true;
-            incr i
-          end
-        else begin
-          Buffer.add_char buf s.[!i];
-          incr i
-        end
-      done
-    | ',' ->
-      flush_cell ();
-      incr i
-    | '\n' ->
-      flush_row ();
-      incr i
-    | c ->
-      Buffer.add_char buf c;
-      incr i
-  done;
-  List.rev !rows
-
-let csv_doc_gen =
-  QCheck.Gen.(
-    let cell =
-      string_size ~gen:(oneofl [ 'a'; 'b'; ','; '"'; '\n'; '\r'; ' ' ]) (0 -- 10)
-    in
-    pair (list_size (1 -- 4) cell) (list_size (0 -- 5) (list_size (1 -- 4) cell)))
-
-let prop_csv_roundtrip =
-  QCheck.Test.make ~name:"csv: escape/to_string round-trips" ~count:300
-    (QCheck.make csv_doc_gen
-       ~print:QCheck.Print.(pair (list string) (list (list string))))
-    (fun (header, rows) ->
-      parse_csv (Csv_out.to_string ~header ~rows) = header :: rows)
-
-(* ------------------------------------------------------------------ *)
 (* Manually-recorded logs and the approx/exact cross-check               *)
 
 let test_manual_log_matches_attached () =
@@ -398,13 +309,5 @@ let () =
           Alcotest.test_case "weights scale" `Quick test_weights_scale_h;
           Alcotest.test_case "throughput" `Quick test_throughput;
           Alcotest.test_case "max pairwise" `Quick test_max_pairwise;
-        ] );
-      ( "csv",
-        [
-          Alcotest.test_case "escape" `Quick test_csv_escape;
-          Alcotest.test_case "to_string" `Quick test_csv_to_string;
-          Alcotest.test_case "of_series" `Quick test_csv_of_series;
-          Alcotest.test_case "write roundtrip" `Quick test_csv_write_roundtrip;
-          q prop_csv_roundtrip;
         ] );
     ]

@@ -9,7 +9,7 @@ let check_bool = Alcotest.(check bool)
 
 let valid_doc =
   {|{
-  "schema": "sfq-bench-sched/7",
+  "schema": "sfq-bench-sched/8",
   "quick": true,
   "unit": "ns per enqueue+dequeue",
   "meta": {"git_sha": "deadbeef", "timestamp_utc": "2026-08-06T00:00:00Z", "hostname": "box", "domains": 2},
@@ -20,19 +20,14 @@ let valid_doc =
   "depth_scaling": [
     {"discipline": "sfq", "flows": 8, "depth": 1024, "ns_per_packet": 3.2e2, "ns_p50": 318.0, "ns_p99": 330.0}
   ],
-  "fastpath": [
-    {"discipline": "sfq", "flows": 512, "ns_per_packet": 210.0, "ns_p50": 210.0, "ns_p99": 220.0, "allocations_per_packet": 14.0},
-    {"discipline": "sfq-fast", "flows": 512, "ns_per_packet": 100.0, "ns_p50": 100.0, "ns_p99": 110.0, "allocations_per_packet": 0.000},
-    {"discipline": "scfq", "flows": 512, "ns_per_packet": 190.0, "ns_p50": 190.0, "ns_p99": 200.0, "allocations_per_packet": 12.0},
-    {"discipline": "scfq-fast", "flows": 512, "ns_per_packet": 95.0, "ns_p50": 95.0, "ns_p99": 105.0, "allocations_per_packet": 0.000},
-    {"discipline": "virtual-clock", "flows": 512, "ns_per_packet": 180.0, "ns_p50": 180.0, "ns_p99": 190.0, "allocations_per_packet": 12.0},
-    {"discipline": "vc-fast", "flows": 512, "ns_per_packet": 90.0, "ns_p50": 90.0, "ns_p99": 100.0, "allocations_per_packet": 0.000},
-    {"discipline": "sp-pifo", "flows": 512, "ns_per_packet": 80.0, "ns_p50": 80.0, "ns_p99": 90.0, "allocations_per_packet": 0.000, "measured_unfairness": 2.5, "fairness_bound": 4.0, "unfairness_excess": -1.5, "pairs_checked": 28}
-  ],
   "pifo": [
+    {"discipline": "sfq", "flows": 512, "ns_per_packet": 210.0, "ns_p50": 210.0, "ns_p99": 220.0, "allocations_per_packet": 14.0},
     {"discipline": "pifo-sfq", "flows": 512, "ns_per_packet": 110.0, "ns_p50": 110.0, "ns_p99": 120.0, "allocations_per_packet": 0.000},
+    {"discipline": "scfq", "flows": 512, "ns_per_packet": 190.0, "ns_p50": 190.0, "ns_p99": 200.0, "allocations_per_packet": 12.0},
     {"discipline": "pifo-scfq", "flows": 512, "ns_per_packet": 105.0, "ns_p50": 105.0, "ns_p99": 115.0, "allocations_per_packet": 0.000},
-    {"discipline": "pifo-vc", "flows": 512, "ns_per_packet": 100.0, "ns_p50": 100.0, "ns_p99": 110.0, "allocations_per_packet": 0.000}
+    {"discipline": "virtual-clock", "flows": 512, "ns_per_packet": 180.0, "ns_p50": 180.0, "ns_p99": 190.0, "allocations_per_packet": 12.0},
+    {"discipline": "pifo-vc", "flows": 512, "ns_per_packet": 100.0, "ns_p50": 100.0, "ns_p99": 110.0, "allocations_per_packet": 0.000},
+    {"discipline": "sp-pifo", "flows": 512, "ns_per_packet": 80.0, "ns_p50": 80.0, "ns_p99": 90.0, "allocations_per_packet": 0.000, "measured_unfairness": 2.5, "fairness_bound": 4.0, "unfairness_excess": -1.5, "pairs_checked": 28}
   ],
   "tracing_overhead": [
     {"mode": "untraced", "flows": 512, "depth": 64, "ns_per_packet": 300.0, "ns_p50": 300.0, "ns_p99": 310.0, "overhead_pct": null},
@@ -45,7 +40,6 @@ let valid_doc =
   ],
   "netsim": [
     {"discipline": "sfq", "flows": 100000, "hops": 2, "packets_per_sec": 350000.0, "peak_rss_kb": 110000, "rss_bound_kb": 1048576},
-    {"discipline": "sfq-fast", "flows": 100000, "hops": 2, "packets_per_sec": 400000.0, "peak_rss_kb": 105000, "rss_bound_kb": 1048576},
     {"discipline": "pifo-sfq", "flows": 100000, "hops": 2, "packets_per_sec": 380000.0, "peak_rss_kb": null, "rss_bound_kb": 1048576}
   ],
   "replay": [
@@ -76,32 +70,51 @@ let overhead_frag =
 let parallel_frag =
   {|[{"series": "oracle-sweep", "cells": 1320, "domains": 2, "serial_s": 2.0, "parallel_s": 1.9, "speedup": 1.05, "identical": true}]|}
 
-(* A minimal fastpath series that satisfies every gate: all seven
-   disciplines present, sfq-fast at exactly zero allocations and
-   faster than sfq at the largest flow count, sp-pifo with a budget. *)
-let fastpath_frag =
-  {|[{"discipline": "sfq", "flows": 512, "ns_per_packet": 210.0, "ns_p50": 210.0, "ns_p99": 220.0, "allocations_per_packet": 14.0},
-     {"discipline": "sfq-fast", "flows": 512, "ns_per_packet": 100.0, "ns_p50": 100.0, "ns_p99": 110.0, "allocations_per_packet": 0.000},
-     {"discipline": "scfq", "flows": 512, "ns_per_packet": 190.0, "ns_p50": 190.0, "ns_p99": 200.0, "allocations_per_packet": 12.0},
-     {"discipline": "scfq-fast", "flows": 512, "ns_per_packet": 95.0, "ns_p50": 95.0, "ns_p99": 105.0, "allocations_per_packet": 0.000},
-     {"discipline": "virtual-clock", "flows": 512, "ns_per_packet": 180.0, "ns_p50": 180.0, "ns_p99": 190.0, "allocations_per_packet": 12.0},
-     {"discipline": "vc-fast", "flows": 512, "ns_per_packet": 90.0, "ns_p50": 90.0, "ns_p99": 100.0, "allocations_per_packet": 0.000},
-     {"discipline": "sp-pifo", "flows": 512, "ns_per_packet": 80.0, "ns_p50": 80.0, "ns_p99": 90.0, "allocations_per_packet": 0.000, "measured_unfairness": 2.5, "fairness_bound": 4.0, "unfairness_excess": -1.5, "pairs_checked": 28}]|}
+(* The rows of a minimal pifo series that satisfies every gate: each
+   rank program beside its float original, pifo-sfq at exactly zero
+   allocations, sp-pifo with its fairness budget. *)
+let pifo_rows =
+  [
+    ( "sfq",
+      {|{"discipline": "sfq", "flows": 512, "ns_per_packet": 210.0, "ns_p50": 210.0, "ns_p99": 220.0, "allocations_per_packet": 14.0}|}
+    );
+    ( "pifo-sfq",
+      {|{"discipline": "pifo-sfq", "flows": 512, "ns_per_packet": 110.0, "ns_p50": 110.0, "ns_p99": 120.0, "allocations_per_packet": 0.000}|}
+    );
+    ( "scfq",
+      {|{"discipline": "scfq", "flows": 512, "ns_per_packet": 190.0, "ns_p50": 190.0, "ns_p99": 200.0, "allocations_per_packet": 12.0}|}
+    );
+    ( "pifo-scfq",
+      {|{"discipline": "pifo-scfq", "flows": 512, "ns_per_packet": 105.0, "ns_p50": 105.0, "ns_p99": 115.0, "allocations_per_packet": 0.000}|}
+    );
+    ( "virtual-clock",
+      {|{"discipline": "virtual-clock", "flows": 512, "ns_per_packet": 180.0, "ns_p50": 180.0, "ns_p99": 190.0, "allocations_per_packet": 12.0}|}
+    );
+    ( "pifo-vc",
+      {|{"discipline": "pifo-vc", "flows": 512, "ns_per_packet": 100.0, "ns_p50": 100.0, "ns_p99": 110.0, "allocations_per_packet": 0.000}|}
+    );
+    ( "sp-pifo",
+      {|{"discipline": "sp-pifo", "flows": 512, "ns_per_packet": 80.0, "ns_p50": 80.0, "ns_p99": 90.0, "allocations_per_packet": 0.000, "measured_unfairness": 2.5, "fairness_bound": 4.0, "unfairness_excess": -1.5, "pairs_checked": 28}|}
+    );
+  ]
 
-(* A minimal pifo series that satisfies the rank-program gates against
-   fastpath_frag's sfq-fast at 100 ns: pifo-sfq within the 15% budget
-   and allocation-free, all three disciplines present. *)
-let pifo_frag =
-  {|[{"discipline": "pifo-sfq", "flows": 512, "ns_per_packet": 110.0, "ns_p50": 110.0, "ns_p99": 120.0, "allocations_per_packet": 0.000},
-     {"discipline": "pifo-scfq", "flows": 512, "ns_per_packet": 105.0, "ns_p50": 105.0, "ns_p99": 115.0, "allocations_per_packet": 0.000},
-     {"discipline": "pifo-vc", "flows": 512, "ns_per_packet": 100.0, "ns_p50": 100.0, "ns_p99": 110.0, "allocations_per_packet": 0.000}]|}
+let pifo_frag = "[" ^ String.concat ",\n" (List.map snd pifo_rows) ^ "]"
 
-(* A minimal netsim series that satisfies the E27 gates: all three
+(* The pifo series with [disc]'s row replaced ([Some row]) or dropped
+   ([None]). *)
+let pifo_with row disc =
+  let rows =
+    List.filter_map
+      (fun (d, default) -> if d = disc then row else Some default)
+      pifo_rows
+  in
+  "[" ^ String.concat ",\n" rows ^ "]"
+
+(* A minimal netsim series that satisfies the E27 gates: both
    oracle-bearing disciplines present, peak RSS under its own bound
    (null allowed — the explicit "/proc unavailable" marker). *)
 let netsim_frag =
-  {|[{"discipline": "sfq", "flows": 100000, "hops": 2, "packets_per_sec": 350000.0, "peak_rss_kb": 110000, "rss_bound_kb": 1048576},
-     {"discipline": "sfq-fast", "flows": 100000, "hops": 2, "packets_per_sec": 400000.0, "peak_rss_kb": null, "rss_bound_kb": 1048576},
+  {|[{"discipline": "sfq", "flows": 100000, "hops": 2, "packets_per_sec": 350000.0, "peak_rss_kb": null, "rss_bound_kb": 1048576},
      {"discipline": "pifo-sfq", "flows": 100000, "hops": 2, "packets_per_sec": 380000.0, "peak_rss_kb": 120000, "rss_bound_kb": 1048576}]|}
 
 (* A minimal replay series that satisfies the E28 gates: all four
@@ -113,13 +126,12 @@ let replay_frag =
      {"tier": "control", "cells": 4, "ok": 1},
      {"tier": "kills", "cells": 5, "ok": 5}]|}
 
-let mk ?(schema = "sfq-bench-sched/7") ?(meta = meta_frag) ?(flow = flow_frag)
-    ?(depth = depth_frag) ?(fastpath = fastpath_frag) ?(pifo = pifo_frag)
-    ?(overhead = overhead_frag) ?(parallel = parallel_frag) ?(netsim = netsim_frag)
-    ?(replay = replay_frag) () =
+let mk ?(schema = "sfq-bench-sched/8") ?(meta = meta_frag) ?(flow = flow_frag)
+    ?(depth = depth_frag) ?(pifo = pifo_frag) ?(overhead = overhead_frag)
+    ?(parallel = parallel_frag) ?(netsim = netsim_frag) ?(replay = replay_frag) () =
   Printf.sprintf
-    {|{"schema": %S, "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "fastpath": %s, "pifo": %s, "tracing_overhead": %s, "parallel": %s, "netsim": %s, "replay": %s}|}
-    schema meta flow depth fastpath pifo overhead parallel netsim replay
+    {|{"schema": %S, "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "pifo": %s, "tracing_overhead": %s, "parallel": %s, "netsim": %s, "replay": %s}|}
+    schema meta flow depth pifo overhead parallel netsim replay
 
 let expect_error name needle contents =
   match Bench_json.validate contents with
@@ -199,14 +211,15 @@ let test_rejects_missing_fields () =
   expect_error "stale schema/3" "unexpected schema" (mk ~schema:"sfq-bench-sched/3" ());
   expect_error "stale schema/4" "unexpected schema" (mk ~schema:"sfq-bench-sched/4" ());
   expect_error "stale schema/5" "unexpected schema" (mk ~schema:"sfq-bench-sched/5" ());
-  expect_error "stale schema/6" "stale schema" (mk ~schema:"sfq-bench-sched/6" ());
+  expect_error "stale schema/6" "unexpected schema" (mk ~schema:"sfq-bench-sched/6" ());
+  expect_error "stale schema/7" "stale schema" (mk ~schema:"sfq-bench-sched/7" ());
   expect_error "meta without domains" "missing field \"domains\""
     (mk
        ~meta:{|{"git_sha": "deadbeef", "timestamp_utc": "2026-08-06T00:00:00Z", "hostname": "box"}|}
        ());
   expect_error "no meta" "missing field \"meta\""
     (Printf.sprintf
-       {|{"schema": "sfq-bench-sched/7", "flow_scaling": %s, "depth_scaling": %s, "tracing_overhead": %s}|}
+       {|{"schema": "sfq-bench-sched/8", "flow_scaling": %s, "depth_scaling": %s, "tracing_overhead": %s}|}
        flow_frag depth_frag overhead_frag);
   expect_error "empty git_sha" "git_sha"
     (mk
@@ -214,12 +227,8 @@ let test_rejects_missing_fields () =
        ());
   expect_error "no depth_scaling" "missing field \"depth_scaling\""
     (Printf.sprintf
-       {|{"schema": "sfq-bench-sched/7", "meta": %s, "flow_scaling": %s, "tracing_overhead": %s}|}
+       {|{"schema": "sfq-bench-sched/8", "meta": %s, "flow_scaling": %s, "tracing_overhead": %s}|}
        meta_frag flow_frag overhead_frag);
-  expect_error "no fastpath" "missing field \"fastpath\""
-    (Printf.sprintf
-       {|{"schema": "sfq-bench-sched/7", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "tracing_overhead": %s}|}
-       meta_frag flow_frag depth_frag overhead_frag);
   expect_error "row without flows" "missing field \"flows\""
     (mk ~flow:{|[{"discipline": "sfq", "ns_per_packet": 1.0, "ns_p50": 1.0, "ns_p99": 1.2}]|} ());
   expect_error "non-integer flows" "flows must be a positive integer"
@@ -269,8 +278,8 @@ let test_rejects_bad_overhead () =
 let test_rejects_bad_parallel () =
   expect_error "missing parallel" "missing field \"parallel\""
     (Printf.sprintf
-       {|{"schema": "sfq-bench-sched/7", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "fastpath": %s, "pifo": %s, "tracing_overhead": %s}|}
-       meta_frag flow_frag depth_frag fastpath_frag pifo_frag overhead_frag);
+       {|{"schema": "sfq-bench-sched/8", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "pifo": %s, "tracing_overhead": %s}|}
+       meta_frag flow_frag depth_frag pifo_frag overhead_frag);
   expect_error "empty parallel" "parallel is empty" (mk ~parallel:"[]" ());
   (* the determinism witness: a file recording a parallel sweep that
      diverged from the serial reference is itself invalid *)
@@ -290,163 +299,81 @@ let test_rejects_bad_parallel () =
          {|[{"series": "oracle-sweep", "cells": 10, "domains": 1.5, "serial_s": 2.0, "parallel_s": 1.9, "speedup": 1.05, "identical": true}]|}
        ())
 
-(* A row-swap helper for the fastpath gates: replace one discipline's
-   row inside the otherwise-valid fragment. *)
-let fastpath_with row disc =
-  let keep =
-    [
-      ( "sfq",
-        {|{"discipline": "sfq", "flows": 512, "ns_per_packet": 210.0, "ns_p50": 210.0, "ns_p99": 220.0, "allocations_per_packet": 14.0}|}
-      );
-      ( "sfq-fast",
-        {|{"discipline": "sfq-fast", "flows": 512, "ns_per_packet": 100.0, "ns_p50": 100.0, "ns_p99": 110.0, "allocations_per_packet": 0.000}|}
-      );
-      ( "scfq",
-        {|{"discipline": "scfq", "flows": 512, "ns_per_packet": 190.0, "ns_p50": 190.0, "ns_p99": 200.0, "allocations_per_packet": 12.0}|}
-      );
-      ( "scfq-fast",
-        {|{"discipline": "scfq-fast", "flows": 512, "ns_per_packet": 95.0, "ns_p50": 95.0, "ns_p99": 105.0, "allocations_per_packet": 0.000}|}
-      );
-      ( "virtual-clock",
-        {|{"discipline": "virtual-clock", "flows": 512, "ns_per_packet": 180.0, "ns_p50": 180.0, "ns_p99": 190.0, "allocations_per_packet": 12.0}|}
-      );
-      ( "vc-fast",
-        {|{"discipline": "vc-fast", "flows": 512, "ns_per_packet": 90.0, "ns_p50": 90.0, "ns_p99": 100.0, "allocations_per_packet": 0.000}|}
-      );
-      ( "sp-pifo",
-        {|{"discipline": "sp-pifo", "flows": 512, "ns_per_packet": 80.0, "ns_p50": 80.0, "ns_p99": 90.0, "allocations_per_packet": 0.000, "measured_unfairness": 2.5, "fairness_bound": 4.0, "unfairness_excess": -1.5, "pairs_checked": 28}|}
-      );
-    ]
-  in
-  let rows =
-    List.filter_map
-      (fun (d, default) ->
-        if d = disc then match row with Some r -> Some r | None -> None
-        else Some default)
-      keep
-  in
-  "[" ^ String.concat ",\n" rows ^ "]"
-
-let test_rejects_bad_fastpath () =
-  expect_error "empty fastpath" "fastpath is empty" (mk ~fastpath:"[]" ());
-  (* the zero-allocation contract: any nonzero sfq-fast column fails *)
-  expect_error "allocating sfq-fast" "zero-allocation contract"
+let test_rejects_bad_pifo () =
+  expect_error "missing pifo series" "missing field \"pifo\""
+    (Printf.sprintf
+       {|{"schema": "sfq-bench-sched/8", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "tracing_overhead": %s, "parallel": %s}|}
+       meta_frag flow_frag depth_frag overhead_frag parallel_frag);
+  expect_error "empty pifo" "pifo is empty" (mk ~pifo:"[]" ());
+  (* rank programs may pay a dispatch premium, never an allocation *)
+  expect_error "allocating pifo-sfq" "zero-allocation contract"
     (mk
-       ~fastpath:
-         (fastpath_with
+       ~pifo:
+         (pifo_with
             (Some
-               {|{"discipline": "sfq-fast", "flows": 512, "ns_per_packet": 100.0, "ns_p50": 100.0, "ns_p99": 110.0, "allocations_per_packet": 2.001}|})
-            "sfq-fast")
-       ());
-  (* the fast path must actually be fast at the largest flow count *)
-  expect_error "slow sfq-fast" "does not beat sfq"
-    (mk
-       ~fastpath:
-         (fastpath_with
-            (Some
-               {|{"discipline": "sfq-fast", "flows": 512, "ns_per_packet": 210.0, "ns_p50": 210.0, "ns_p99": 220.0, "allocations_per_packet": 0.000}|})
-            "sfq-fast")
+               {|{"discipline": "pifo-sfq", "flows": 512, "ns_per_packet": 110.0, "ns_p50": 110.0, "ns_p99": 120.0, "allocations_per_packet": 2.0}|})
+            "pifo-sfq")
        ());
   (* sp-pifo without its fairness budget is an unpriced approximation *)
   expect_error "sp-pifo without budget" "measured_unfairness"
     (mk
-       ~fastpath:
-         (fastpath_with
+       ~pifo:
+         (pifo_with
             (Some
                {|{"discipline": "sp-pifo", "flows": 512, "ns_per_packet": 80.0, "ns_p50": 80.0, "ns_p99": 90.0, "allocations_per_packet": 0.000}|})
             "sp-pifo")
        ());
-  expect_error "missing vc-fast row" "missing discipline \"vc-fast\""
-    (mk ~fastpath:(fastpath_with None "vc-fast") ());
+  expect_error "missing pifo-vc row" "missing discipline \"pifo-vc\""
+    (mk ~pifo:(pifo_with None "pifo-vc") ());
+  (* a rank program without its float original is no comparison *)
+  expect_error "missing sfq row" "missing discipline \"sfq\""
+    (mk ~pifo:(pifo_with None "sfq") ());
   expect_error "negative allocations" "non-negative"
     (mk
-       ~fastpath:
-         (fastpath_with
+       ~pifo:
+         (pifo_with
             (Some
-               {|{"discipline": "scfq-fast", "flows": 512, "ns_per_packet": 95.0, "ns_p50": 95.0, "ns_p99": 105.0, "allocations_per_packet": -0.5}|})
-            "scfq-fast")
-       ())
-
-let test_rejects_bad_pifo () =
-  expect_error "missing pifo series" "missing field \"pifo\""
-    (Printf.sprintf
-       {|{"schema": "sfq-bench-sched/7", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "fastpath": %s, "tracing_overhead": %s, "parallel": %s}|}
-       meta_frag flow_frag depth_frag fastpath_frag overhead_frag parallel_frag);
-  expect_error "empty pifo" "pifo is empty" (mk ~pifo:"[]" ());
-  (* rank programs may pay a bounded dispatch premium, never an allocation *)
-  expect_error "allocating pifo-sfq" "zero-allocation contract"
-    (mk
-       ~pifo:
-         {|[{"discipline": "pifo-sfq", "flows": 512, "ns_per_packet": 110.0, "ns_p50": 110.0, "ns_p99": 120.0, "allocations_per_packet": 2.0},
-            {"discipline": "pifo-scfq", "flows": 512, "ns_per_packet": 105.0, "ns_p50": 105.0, "ns_p99": 115.0, "allocations_per_packet": 0.000},
-            {"discipline": "pifo-vc", "flows": 512, "ns_per_packet": 100.0, "ns_p50": 100.0, "ns_p99": 110.0, "allocations_per_packet": 0.000}]|}
-       ());
-  (* fastpath_frag's sfq-fast sits at 100 ns: 116 ns breaches the 15% budget *)
-  expect_error "slow pifo-sfq" "over budget"
-    (mk
-       ~pifo:
-         {|[{"discipline": "pifo-sfq", "flows": 512, "ns_per_packet": 116.0, "ns_p50": 116.0, "ns_p99": 120.0, "allocations_per_packet": 0.000},
-            {"discipline": "pifo-scfq", "flows": 512, "ns_per_packet": 105.0, "ns_p50": 105.0, "ns_p99": 115.0, "allocations_per_packet": 0.000},
-            {"discipline": "pifo-vc", "flows": 512, "ns_per_packet": 100.0, "ns_p50": 100.0, "ns_p99": 110.0, "allocations_per_packet": 0.000}]|}
-       ());
-  expect_error "missing pifo-vc row" "missing discipline \"pifo-vc\""
-    (mk
-       ~pifo:
-         {|[{"discipline": "pifo-sfq", "flows": 512, "ns_per_packet": 110.0, "ns_p50": 110.0, "ns_p99": 120.0, "allocations_per_packet": 0.000},
-            {"discipline": "pifo-scfq", "flows": 512, "ns_per_packet": 105.0, "ns_p50": 105.0, "ns_p99": 115.0, "allocations_per_packet": 0.000}]|}
-       ());
-  (* the gate has no reference without an sfq-fast row at the pifo flow count *)
-  expect_error "no sfq-fast reference" "no sfq-fast reference row"
-    (mk
-       ~pifo:
-         {|[{"discipline": "pifo-sfq", "flows": 1024, "ns_per_packet": 110.0, "ns_p50": 110.0, "ns_p99": 120.0, "allocations_per_packet": 0.000},
-            {"discipline": "pifo-scfq", "flows": 1024, "ns_per_packet": 105.0, "ns_p50": 105.0, "ns_p99": 115.0, "allocations_per_packet": 0.000},
-            {"discipline": "pifo-vc", "flows": 1024, "ns_per_packet": 100.0, "ns_p50": 100.0, "ns_p99": 110.0, "allocations_per_packet": 0.000}]|}
+               {|{"discipline": "pifo-scfq", "flows": 512, "ns_per_packet": 105.0, "ns_p50": 105.0, "ns_p99": 115.0, "allocations_per_packet": -0.5}|})
+            "pifo-scfq")
        ())
 
 let test_rejects_bad_netsim () =
   expect_error "missing netsim series" "missing field \"netsim\""
     (Printf.sprintf
-       {|{"schema": "sfq-bench-sched/7", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "fastpath": %s, "pifo": %s, "tracing_overhead": %s, "parallel": %s}|}
-       meta_frag flow_frag depth_frag fastpath_frag pifo_frag overhead_frag
-       parallel_frag);
+       {|{"schema": "sfq-bench-sched/8", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "pifo": %s, "tracing_overhead": %s, "parallel": %s}|}
+       meta_frag flow_frag depth_frag pifo_frag overhead_frag parallel_frag);
   expect_error "empty netsim" "netsim is empty" (mk ~netsim:"[]" ());
   (* a vanished discipline row would hide a scale regression *)
   expect_error "missing pifo-sfq row" "missing discipline \"pifo-sfq\""
     (mk
        ~netsim:
-         {|[{"discipline": "sfq", "flows": 100000, "hops": 2, "packets_per_sec": 350000.0, "peak_rss_kb": 110000, "rss_bound_kb": 1048576},
-            {"discipline": "sfq-fast", "flows": 100000, "hops": 2, "packets_per_sec": 400000.0, "peak_rss_kb": 105000, "rss_bound_kb": 1048576}]|}
+         {|[{"discipline": "sfq", "flows": 100000, "hops": 2, "packets_per_sec": 350000.0, "peak_rss_kb": 110000, "rss_bound_kb": 1048576}]|}
        ());
   (* the window-bounded-memory gate: peak RSS over the recorded bound *)
   expect_error "rss over bound" "exceeds the 1048576 kB bound"
     (mk
        ~netsim:
          {|[{"discipline": "sfq", "flows": 100000, "hops": 2, "packets_per_sec": 350000.0, "peak_rss_kb": 2097152, "rss_bound_kb": 1048576},
-            {"discipline": "sfq-fast", "flows": 100000, "hops": 2, "packets_per_sec": 400000.0, "peak_rss_kb": 105000, "rss_bound_kb": 1048576},
             {"discipline": "pifo-sfq", "flows": 100000, "hops": 2, "packets_per_sec": 380000.0, "peak_rss_kb": 120000, "rss_bound_kb": 1048576}]|}
        ());
   expect_error "zero pps" "packets_per_sec must be positive"
     (mk
        ~netsim:
          {|[{"discipline": "sfq", "flows": 100000, "hops": 2, "packets_per_sec": 0.0, "peak_rss_kb": 110000, "rss_bound_kb": 1048576},
-            {"discipline": "sfq-fast", "flows": 100000, "hops": 2, "packets_per_sec": 400000.0, "peak_rss_kb": 105000, "rss_bound_kb": 1048576},
             {"discipline": "pifo-sfq", "flows": 100000, "hops": 2, "packets_per_sec": 380000.0, "peak_rss_kb": 120000, "rss_bound_kb": 1048576}]|}
        ());
   expect_error "absent peak_rss_kb" "missing field \"peak_rss_kb\""
     (mk
        ~netsim:
          {|[{"discipline": "sfq", "flows": 100000, "hops": 2, "packets_per_sec": 350000.0, "rss_bound_kb": 1048576},
-            {"discipline": "sfq-fast", "flows": 100000, "hops": 2, "packets_per_sec": 400000.0, "peak_rss_kb": 105000, "rss_bound_kb": 1048576},
             {"discipline": "pifo-sfq", "flows": 100000, "hops": 2, "packets_per_sec": 380000.0, "peak_rss_kb": 120000, "rss_bound_kb": 1048576}]|}
        ())
 
 let test_rejects_bad_replay () =
   expect_error "missing replay series" "missing field \"replay\""
     (Printf.sprintf
-       {|{"schema": "sfq-bench-sched/7", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "fastpath": %s, "pifo": %s, "tracing_overhead": %s, "parallel": %s, "netsim": %s}|}
-       meta_frag flow_frag depth_frag fastpath_frag pifo_frag overhead_frag
-       parallel_frag netsim_frag);
+       {|{"schema": "sfq-bench-sched/8", "meta": %s, "flow_scaling": %s, "depth_scaling": %s, "pifo": %s, "tracing_overhead": %s, "parallel": %s, "netsim": %s}|}
+       meta_frag flow_frag depth_frag pifo_frag overhead_frag parallel_frag netsim_frag);
   expect_error "empty replay" "replay is empty" (mk ~replay:"[]" ());
   (* a tier whose rows stop being all-ok is a replay regression *)
   expect_error "net regression" "replay regression"
@@ -536,7 +463,6 @@ let () =
           Alcotest.test_case "nan / inf / negative" `Quick test_rejects_nan;
           Alcotest.test_case "missing fields" `Quick test_rejects_missing_fields;
           Alcotest.test_case "bad tracing overhead" `Quick test_rejects_bad_overhead;
-          Alcotest.test_case "bad fastpath series" `Quick test_rejects_bad_fastpath;
           Alcotest.test_case "bad pifo series" `Quick test_rejects_bad_pifo;
           Alcotest.test_case "bad parallel series" `Quick test_rejects_bad_parallel;
           Alcotest.test_case "bad netsim series" `Quick test_rejects_bad_netsim;

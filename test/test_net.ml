@@ -1,5 +1,5 @@
-(* Tests for the multi-node network layer, per-link memory, Jitter EDD
-   and the per-flow delay summaries. *)
+(* Tests for the multi-node network layer, per-link memory and the
+   per-flow delay summaries. *)
 
 open Sfq_base
 open Sfq_netsim
@@ -246,169 +246,6 @@ let test_net_per_link_discipline () =
     (List.length (List.filter (fun f -> f = 2) first_four))
 
 (* ------------------------------------------------------------------ *)
-(* Jitter EDD                                                           *)
-
-let jedd_specs =
-  [ (1, { Sfq_sched.Delay_edd.rate = 100.0; deadline = 1.0; max_len = 100 }) ]
-
-let test_jedd_holds_until_eat () =
-  let sim = Sim.create () in
-  let j = Jitter_edd.create sim jedd_specs in
-  (* Two packets at t=0: the first is eligible (EAT = 0), the second's
-     EAT is 1.0. *)
-  Jitter_edd.enqueue j ~now:0.0 (pkt ~flow:1 ~seq:1 ~len:100 ());
-  Jitter_edd.enqueue j ~now:0.0 (pkt ~flow:1 ~seq:2 ~len:100 ());
-  check_bool "first eligible" true (Jitter_edd.dequeue j ~now:0.0 <> None);
-  check_bool "second held" true (Jitter_edd.dequeue j ~now:0.0 = None);
-  check_int "held count" 1 (Jitter_edd.held j);
-  Sim.run sim ~until:1.0;
-  check_bool "matured" true (Jitter_edd.dequeue j ~now:1.0 <> None)
-
-let test_jedd_notifier_fires () =
-  let sim = Sim.create () in
-  let j = Jitter_edd.create sim jedd_specs in
-  let kicked = ref 0 in
-  Jitter_edd.set_notifier j (fun () -> incr kicked);
-  Jitter_edd.enqueue j ~now:0.0 (pkt ~flow:1 ~seq:1 ~len:100 ());
-  ignore (Jitter_edd.dequeue j ~now:0.0);
-  Jitter_edd.enqueue j ~now:0.0 (pkt ~flow:1 ~seq:2 ~len:100 ());
-  check_bool "held" true (Jitter_edd.dequeue j ~now:0.0 = None);
-  Sim.run sim ~until:2.0;
-  check_bool "notified at maturity" true (!kicked >= 1);
-  check_float "at the right time-ish" 1.0 (let _ = () in 1.0);
-  check_bool "now eligible" true (Jitter_edd.peek j <> None)
-
-let test_jedd_non_work_conserving_server () =
-  (* On a server: a burst of 4 packets is smoothed to the reserved
-     spacing even though the link is idle in between. *)
-  let sim = Sim.create () in
-  let j = Jitter_edd.create sim jedd_specs in
-  let server =
-    Server.create sim ~name:"jedd" ~rate:(Rate_process.constant 10_000.0)
-      ~sched:(Jitter_edd.sched j) ()
-  in
-  Jitter_edd.set_notifier j (fun () -> Server.kick server);
-  let departures = ref [] in
-  Server.on_depart server (fun p ~start:_ ~departed ->
-      departures := (p.Packet.seq, departed) :: !departures);
-  Sim.schedule sim ~at:0.0 (fun () ->
-      for seq = 1 to 4 do
-        Server.inject server (pkt ~flow:1 ~seq ~len:100 ())
-      done);
-  Sim.run_all sim ();
-  (match List.rev !departures with
-  | [ (1, d1); (2, d2); (3, d3); (4, d4) ] ->
-    (* Service time 0.01 s; eligibility at 0, 1, 2, 3. *)
-    check_float "pkt1" 0.01 d1;
-    check_float "pkt2 held to EAT" 1.01 d2;
-    check_float "pkt3" 2.01 d3;
-    check_float "pkt4" 3.01 d4
-  | _ -> Alcotest.fail "expected four departures")
-
-let test_jedd_edf_among_eligible () =
-  let sim = Sim.create () in
-  let j =
-    Jitter_edd.create sim
-      [
-        (1, { Sfq_sched.Delay_edd.rate = 100.0; deadline = 5.0; max_len = 100 });
-        (2, { Sfq_sched.Delay_edd.rate = 100.0; deadline = 1.0; max_len = 100 });
-      ]
-  in
-  Jitter_edd.enqueue j ~now:0.0 (pkt ~flow:1 ~seq:1 ~len:100 ());
-  Jitter_edd.enqueue j ~now:0.0 (pkt ~flow:2 ~seq:1 ~len:100 ());
-  (* Both eligible at 0; flow 2's deadline (1.0) beats flow 1's (5.0). *)
-  check_bool "tighter deadline first" true
-    (match Jitter_edd.dequeue j ~now:0.0 with Some p -> p.Packet.flow = 2 | None -> false)
-
-let test_jedd_jitter_removal () =
-  (* The signature property: a jittered arrival process leaves with the
-     reserved spacing restored (delay jitter collapses). *)
-  let sim = Sim.create () in
-  let rng = Sfq_util.Rng.create 3 in
-  let j =
-    Jitter_edd.create sim
-      [ (1, { Sfq_sched.Delay_edd.rate = 1000.0; deadline = 0.5; max_len = 100 }) ]
-  in
-  let server =
-    Server.create sim ~name:"jedd" ~rate:(Rate_process.constant 100_000.0)
-      ~sched:(Jitter_edd.sched j) ()
-  in
-  Jitter_edd.set_notifier j (fun () -> Server.kick server);
-  let out = ref [] in
-  Server.on_depart server (fun _ ~start:_ ~departed -> out := departed :: !out);
-  (* 100 packets slightly faster than the reservation (90 ms spacing vs
-     100 ms reserved), each jittered by up to 80 ms: once the EAT chain
-     dominates the arrival times, output spacing snaps to exactly the
-     reserved 100 ms regardless of input jitter. *)
-  for i = 0 to 99 do
-    let at = (0.09 *. float_of_int i) +. Sfq_util.Rng.float rng 0.08 in
-    Sim.schedule sim ~at (fun () ->
-        Server.inject server (pkt ~flow:1 ~seq:(i + 1) ~len:100 ()))
-  done;
-  Sim.run_all sim ();
-  let times = Array.of_list (List.rev !out) in
-  check_int "all forwarded" 100 (Array.length times);
-  (* Output spacing: exactly 0.1 s once the regulator engages. *)
-  let max_dev = ref 0.0 in
-  for i = 20 to 99 do
-    max_dev := Float.max !max_dev (Float.abs (times.(i) -. times.(i - 1) -. 0.1))
-  done;
-  check_bool "spacing restored (dev < 2ms)" true (!max_dev < 0.002)
-
-(* ------------------------------------------------------------------ *)
-(* Policer                                                              *)
-
-let test_policer_passes_conforming () =
-  let sim = Sim.create () in
-  let passed = ref [] in
-  let pol =
-    Policer.create sim ~sigma:1000.0 ~rho:100.0 ~target:(fun p -> passed := p.Packet.seq :: !passed) ()
-  in
-  Sim.schedule sim ~at:0.0 (fun () -> Policer.inject pol (pkt ~flow:1 ~seq:1 ~len:500 ()));
-  Sim.run_all sim ();
-  Alcotest.(check (list int)) "passed" [ 1 ] !passed;
-  check_int "counter" 1 (Policer.passed pol)
-
-let test_policer_drops_burst_tail () =
-  let sim = Sim.create () in
-  let dropped = ref [] in
-  let pol =
-    Policer.create sim ~sigma:1000.0 ~rho:100.0 ~target:(fun _ -> ())
-      ~on_drop:(fun p -> dropped := p.Packet.seq :: !dropped)
-      ()
-  in
-  Sim.schedule sim ~at:0.0 (fun () ->
-      for seq = 1 to 3 do
-        Policer.inject pol (pkt ~flow:1 ~seq ~len:500 ())
-      done);
-  Sim.run_all sim ();
-  (* Bucket holds 1000 bits: packets 1-2 pass, 3 dropped. *)
-  Alcotest.(check (list int)) "dropped third" [ 3 ] !dropped;
-  check_int "passed" 2 (Policer.passed pol);
-  check_int "dropped" 1 (Policer.dropped pol)
-
-let test_policer_refills () =
-  let sim = Sim.create () in
-  let pol = Policer.create sim ~sigma:1000.0 ~rho:100.0 ~target:(fun _ -> ()) () in
-  Sim.schedule sim ~at:0.0 (fun () ->
-      Policer.inject pol (pkt ~flow:1 ~seq:1 ~len:1000 ());
-      (* Bucket empty now. *)
-      Policer.inject pol (pkt ~flow:1 ~seq:2 ~len:100 ()));
-  (* One second refills 100 bits. *)
-  Sim.schedule sim ~at:1.0 (fun () -> Policer.inject pol (pkt ~flow:1 ~seq:3 ~len:100 ()));
-  Sim.run_all sim ();
-  check_int "passed 1 and 3" 2 (Policer.passed pol);
-  check_int "dropped 2" 1 (Policer.dropped pol)
-
-let test_policer_validation () =
-  let sim = Sim.create () in
-  check_bool "bad params" true
-    (try
-       ignore (Policer.create sim ~sigma:0.0 ~rho:1.0 ~target:(fun _ -> ()) ());
-       false
-     with Invalid_argument _ -> true)
-
-(* ------------------------------------------------------------------ *)
 (* Delay_stats                                                          *)
 
 let test_delay_stats_summary () =
@@ -524,24 +361,6 @@ let prop_net_conservation =
       Net.delivered net = nflows * pkts
       && Hashtbl.fold (fun _ c acc -> acc && c = 1) got true)
 
-let prop_jedd_conservation =
-  QCheck.Test.make ~name:"jitter-edd: conservation on a server" ~count:50
-    QCheck.(int_range 1 60)
-    (fun n ->
-      let sim = Sim.create () in
-      let j = Jitter_edd.create sim jedd_specs in
-      let server =
-        Server.create sim ~name:"jedd" ~rate:(Rate_process.constant 10_000.0)
-          ~sched:(Jitter_edd.sched j) ()
-      in
-      Jitter_edd.set_notifier j (fun () -> Server.kick server);
-      Sim.schedule sim ~at:0.0 (fun () ->
-          for seq = 1 to n do
-            Server.inject server (pkt ~flow:1 ~seq ~len:100 ())
-          done);
-      Sim.run_all sim ();
-      Server.departed server = n && Jitter_edd.size j = 0)
-
 let test_soak_server () =
   (* Long-run stability: ~200k packets through an SFQ server on a
      randomized FC process, with sources stopping and starting. Checks
@@ -589,25 +408,9 @@ let () =
           Alcotest.test_case "link state scales with carried flows" `Quick
             test_link_memory_scales_with_carried_flows;
         ] );
-      ( "jitter_edd",
-        [
-          Alcotest.test_case "holds until EAT" `Quick test_jedd_holds_until_eat;
-          Alcotest.test_case "notifier" `Quick test_jedd_notifier_fires;
-          Alcotest.test_case "non-work-conserving server" `Quick test_jedd_non_work_conserving_server;
-          Alcotest.test_case "EDF among eligible" `Quick test_jedd_edf_among_eligible;
-          Alcotest.test_case "jitter removal" `Quick test_jedd_jitter_removal;
-        ] );
-      ( "policer",
-        [
-          Alcotest.test_case "passes conforming" `Quick test_policer_passes_conforming;
-          Alcotest.test_case "drops burst tail" `Quick test_policer_drops_burst_tail;
-          Alcotest.test_case "refills" `Quick test_policer_refills;
-          Alcotest.test_case "validation" `Quick test_policer_validation;
-        ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_net_conservation;
-          QCheck_alcotest.to_alcotest prop_jedd_conservation;
           Alcotest.test_case "soak: 200k packets" `Slow test_soak_server;
         ] );
       ( "delay_stats",

@@ -13,8 +13,8 @@
      and a 3-hop tandem line: the composed end-to-end bound
      EAT + Σ βⁿ + Σ τⁿ (Corollary 1 shape, per-hop β from Thm 4 with
      δ=0) holds for every delivery of every reserved CBR flow, for
-     float SFQ, the fixed-point fast path and the PIFO rank program —
-     and a mutant oracle that forgets any single hop's β is killed.
+     float SFQ and the PIFO rank program — and a mutant oracle that
+     forgets any single hop's β is killed.
      On the single-flow line the bound is exactly tight (slack 0), so
      dropping a hop leaves the mutant short by that hop's full l/C:
      the kill is guaranteed, not probabilistic. *)
@@ -31,7 +31,7 @@ let check_int = Alcotest.(check int)
 let fig1a_star = Topo.Star { leaves = 3 }
 let tandem = Topo.Line { hops = 3 }
 
-let oracle_discs = [ Disc.Sfq; Disc.Sfq_fast; Disc.Pifo_sfq ]
+let oracle_discs = [ Disc.Sfq; Disc.Pifo_sfq ]
 
 let test_composed_bound_holds () =
   List.iter
@@ -145,8 +145,6 @@ let disc_gen =
     [
       Disc.Sfq;
       Disc.Scfq;
-      Disc.Sfq_fast;
-      Disc.Scfq_fast;
       Disc.Pifo_sfq;
       Disc.Pifo_scfq;
       Disc.Drr { quantum = 8192.0 };

@@ -87,12 +87,28 @@ let test_net_sweep_deterministic () =
        cells)
 
 (* ------------------------------------------------------------------ *)
-(* Bench-row determinism: the E14 steady-state loop, replayed per
-   discipline in parallel, digesting the departure order and a CSV
-   rendering of the per-row summaries. Timings are not digestable;
-   what must be invariant is everything the schedulers *did*. *)
+(* Sweeps nested in a pool task: a sweep at its default domains = 1
+   runs in the caller, so a registry entry may call one from inside the
+   experiment fan-out. Each must reproduce its serial digest. *)
 
-type bench_row = { row_label : string; departures : string; csv_cells : string list }
+let test_sweeps_inside_a_pool_task () =
+  let pool = List.filteri (fun i _ -> i < 8) (Suite.theorem_pool ()) in
+  let cells = Suite.sfq_cells ~pool () in
+  let net_cells = List.filteri (fun i _ -> i < 4) (Net_sweep.default_cells ()) in
+  let oracle () = Run.sweep_digest cells (Run.sweep cells) in
+  let net () = Net_sweep.sweep_digest net_cells (Net_sweep.sweep net_cells) in
+  let serial = [| oracle (); net () |] in
+  let nested = Pool.run ~domains:2 ~f:(fun _ sweep -> sweep ()) [| oracle; net |] in
+  check_bool "oracle sweep inside a task" true (String.equal serial.(0) nested.(0));
+  check_bool "net sweep inside a task" true (String.equal serial.(1) nested.(1))
+
+(* ------------------------------------------------------------------ *)
+(* Bench-row determinism: the E14 steady-state loop, replayed per
+   discipline in parallel, digesting the departure order. Timings are
+   not digestable; what must be invariant is everything the schedulers
+   *did*. *)
+
+type bench_row = { row_label : string; departures : string }
 
 let bench_row_specs (w : Workload.t) =
   let cap = w.Workload.capacity in
@@ -110,7 +126,6 @@ let replay_bench_row ~nflows ~ops (label, spec) =
   let b = Buffer.create (ops * 8) in
   let seqs = Array.make nflows 0 in
   let now = ref 0.0 in
-  let departed = ref 0 in
   for i = 0 to ops - 1 do
     let f = i mod nflows in
     seqs.(f) <- seqs.(f) + 1;
@@ -118,16 +133,10 @@ let replay_bench_row ~nflows ~ops (label, spec) =
     sched.Sched.enqueue ~now:!now
       (Packet.make ~flow:f ~seq:seqs.(f) ~len:1000 ~born:!now ());
     match sched.Sched.dequeue ~now:!now with
-    | Some p ->
-      incr departed;
-      Buffer.add_string b (Printf.sprintf "%d.%d;" p.Packet.flow p.Packet.seq)
+    | Some p -> Buffer.add_string b (Printf.sprintf "%d.%d;" p.Packet.flow p.Packet.seq)
     | None -> Buffer.add_char b '-'
   done;
-  {
-    row_label = label;
-    departures = Digest.to_hex (Digest.string (Buffer.contents b));
-    csv_cells = [ label; string_of_int ops; string_of_int !departed ];
-  }
+  { row_label = label; departures = Digest.to_hex (Digest.string (Buffer.contents b)) }
 
 let test_bench_row_deterministic () =
   let w = List.hd (Suite.theorem_pool ()) in
@@ -136,16 +145,8 @@ let test_bench_row_deterministic () =
     let rows =
       Pool.run ~domains ~f:(fun _ spec -> replay_bench_row ~nflows:32 ~ops:4000 spec) specs
     in
-    let order =
-      String.concat "\n"
-        (Array.to_list (Array.map (fun r -> r.row_label ^ " " ^ r.departures) rows))
-    in
-    let csv =
-      Sfq_analysis.Csv_out.to_string
-        ~header:[ "discipline"; "ops"; "departed" ]
-        ~rows:(Array.to_list (Array.map (fun r -> r.csv_cells) rows))
-    in
-    order ^ "\n" ^ csv
+    String.concat "\n"
+      (Array.to_list (Array.map (fun r -> r.row_label ^ " " ^ r.departures) rows))
   in
   assert_identical ~what:"bench row"
     (List.map (fun d -> (d, digest_at d)) domain_counts)
@@ -338,8 +339,10 @@ let () =
             test_oracle_sweep_deterministic;
           Alcotest.test_case "net sweep digests are domain-count invariant" `Quick
             test_net_sweep_deterministic;
-          Alcotest.test_case "bench row replay + CSV are domain-count invariant"
-            `Quick test_bench_row_deterministic;
+          Alcotest.test_case "bench row replay is domain-count invariant" `Quick
+            test_bench_row_deterministic;
+          Alcotest.test_case "serial sweeps run inside a pool task" `Quick
+            test_sweeps_inside_a_pool_task;
           Alcotest.test_case "mutants caught at 1/2/4/8 domains" `Quick
             test_mutants_caught_at_every_domain_count;
         ] );

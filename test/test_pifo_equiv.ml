@@ -10,7 +10,7 @@
 
 open Sfq_base
 module Rng = Sfq_util.Rng
-module Tag = Sfq_fastpath.Tag
+module Tag = Sfq_pifo.Tag
 module Tag_queue = Sfq_sched.Tag_queue
 module Sfq = Sfq_core.Sfq
 module Scfq = Sfq_sched.Scfq
@@ -34,11 +34,10 @@ let rec take n = function
   | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
 (* ------------------------------------------------------------------ *)
-(* Dyadic differential scenarios (the fast-path generator, same op
-   mix: weights and rate overrides from 100·2^k, lengths multiples of
-   100, clocks in quarter steps — every tag arithmetic step is exact
-   in 20 fractional bits, so the ports promise packet-for-packet
-   identity with the float originals).                                  *)
+(* Dyadic differential scenarios (weights and rate overrides from
+   100·2^k, lengths multiples of 100, clocks in quarter steps — every
+   tag arithmetic step is exact in 20 fractional bits, so the ports
+   promise packet-for-packet identity with the float originals).      *)
 
 let dyadic_rates = [| 100.0; 200.0; 400.0; 800.0; 1600.0; 3200.0 |]
 
@@ -508,8 +507,8 @@ let test_fifo_stable_ties () =
   check_bool "drained" true (Pifo.is_empty t)
 
 (* ------------------------------------------------------------------ *)
-(* Allocation: the unshaped runtime hot path must be as quiet as the
-   hand-written fast path.                                              *)
+(* Allocation: the unshaped runtime hot path allocates nothing in
+   steady state.                                                        *)
 
 let alloc_pkts n = Array.init n (fun f -> Packet.make ~flow:f ~seq:1 ~len:1000 ~born:0.0 ())
 

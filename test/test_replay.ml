@@ -251,7 +251,7 @@ let test_e28_rows () =
   all_ok "single" r.Lr.single;
   all_ok "net" r.Lr.net;
   all_ok "kill" r.Lr.kills;
-  check_int "grid covers every (topology x discipline) cell" 20
+  check_int "grid covers every (topology x discipline) cell" 16
     (List.length r.Lr.net);
   (* the negative control must actually diverge somewhere: SFQ is not
      universal, which is what makes the net rows evidence *)
@@ -339,7 +339,6 @@ let reflexive_discs =
   [|
     Disc.Sfq;
     Disc.Scfq;
-    Disc.Sfq_fast;
     Disc.Pifo_sfq;
     Disc.Drr { quantum = 8192.0 };
   |]
