@@ -1,6 +1,6 @@
 type t = {
   mutable next : int;  (* smallest never-issued id *)
-  mutable free : int list;  (* closed ids, most recently closed first *)
+  free : int Sfq_util.Vec.t;  (* closed ids, a stack: most recently closed on top *)
   open_ : bool Flow_table.t;
   mutable live : int;
   mutable peak_live : int;
@@ -10,7 +10,7 @@ type t = {
 let create () =
   {
     next = 0;
-    free = [];
+    free = Sfq_util.Vec.create ();
     open_ = Flow_table.create ~default:(fun _ -> false);
     live = 0;
     peak_live = 0;
@@ -19,14 +19,12 @@ let create () =
 
 let open_flow t =
   let id =
-    match t.free with
-    | id :: rest ->
-      t.free <- rest;
-      id
-    | [] ->
+    if Sfq_util.Vec.is_empty t.free then begin
       let id = t.next in
       t.next <- id + 1;
       id
+    end
+    else Sfq_util.Vec.pop t.free
   in
   Flow_table.set t.open_ id true;
   t.live <- t.live + 1;
@@ -39,7 +37,7 @@ let close_flow t id =
     invalid_arg (Printf.sprintf "Flow_registry.close_flow: flow %d is not open" id);
   Flow_table.set t.open_ id false;
   t.live <- t.live - 1;
-  t.free <- id :: t.free
+  Sfq_util.Vec.push t.free id
 
 let is_open t id = Flow_table.find t.open_ id
 let live t = t.live

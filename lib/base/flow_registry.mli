@@ -10,6 +10,12 @@
     per-flow array — is bounded by the {e peak concurrent} flow count,
     not the total number of flows ever opened.
 
+    The free list is a LIFO stack of ints: the next id issued is always
+    the most recently closed one. That order decides which id every
+    recycled flow gets, so a run's digests depend on it. Opening and
+    closing allocate nothing once the stack has grown to the
+    high-water mark.
+
     Scheduler-state hygiene is the other half of the contract: callers
     must invoke {!Sched.t.close_flow} on the scheduler when closing the
     id here, so the recycled id re-enters with [F(p^0) = 0] and eq. 4

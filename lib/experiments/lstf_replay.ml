@@ -13,8 +13,9 @@ let replayed = function Replay.Replayed _ -> true | Replay.Diverged _ -> false
 let diverged v = not (replayed v)
 
 (* Network success per the UPS criterion: no packet late. Exact order
-   is the common case (19 of 20 grid cells) and prints as its own
-   tier, so an order regression still moves the golden text. *)
+   is the common case (15 of the 16 grid cells; dumbbell3x2/PIFO-SFQ
+   is on time with a swap) and prints as its own tier, so an order
+   regression still moves the golden text. *)
 let on_time = function
   | Net_sweep.Exact _ | Net_sweep.On_time _ -> true
   | Net_sweep.Late _ -> false

@@ -13,7 +13,8 @@
       recorded via {!Net_sweep.record_net} and replayed with per-link
       LSTF on route-aware residuals. Success is the UPS criterion (no
       packet later than recorded — {!Net_sweep.net_verdict}); exact
-      packet-for-packet order holds on 19 of the 20 cells and prints
+      packet-for-packet order holds on 15 of the 16 cells (all but
+      dumbbell3x2/PIFO-SFQ, which is on time with one swap) and prints
       as its own tier. The empirical half of the claim — there is no
       multi-hop order theorem.
     - [control]: the same recordings replayed under plain SFQ instead

@@ -28,7 +28,8 @@ type t = {
   nodes : (string, node) Hashtbl.t;
   links : (int * int, link_state) Hashtbl.t;
   link_ends : (int * int, node * node) Hashtbl.t;
-  (* Compiled routes: hop [i] of a flow is [routes.(flow).(i)]. *)
+  (* Compiled routes: hop [i] of a flow is [routes.(flow).(i)]. Flows
+     may share one array; nothing mutates it. *)
   routes : link_state array Flow_table.t;
   mutable delivered_handlers : (Packet.t -> at:float -> unit) list;  (* call order *)
   mutable delivered : int;
@@ -158,7 +159,9 @@ let link t ~src ~dst ~rate ~sched ?(prop_delay = 0.0) ?flow_buffer_limit ?buffer
 let server t ~src ~dst =
   match find_link t ~src ~dst with Some ls -> ls.server | None -> raise Not_found
 
-let route t ~flow path =
+type route = { owner : t; links : link_state array }
+
+let compile t path =
   let nodes = Array.of_list path in
   let n = Array.length nodes in
   if n < 2 then invalid_arg "Net.route: a route needs at least two nodes";
@@ -169,7 +172,13 @@ let route t ~flow path =
       invalid_arg
         (Printf.sprintf "Net.route: missing link %s->%s" nodes.(i).name nodes.(i + 1).name)
   in
-  Flow_table.set t.routes flow (Array.init (n - 1) hop)
+  { owner = t; links = Array.init (n - 1) hop }
+
+let set_route t ~flow r =
+  if r.owner != t then invalid_arg "Net.set_route: route compiled for another network";
+  Flow_table.set t.routes flow r.links
+
+let route t ~flow path = set_route t ~flow (compile t path)
 
 let unroute t ~flow = Flow_table.remove t.routes flow
 

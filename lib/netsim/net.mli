@@ -12,9 +12,13 @@
     propagation delay, into link (v,w) for the next node w on its
     route, until the route ends.
 
-    {!route} compiles the path once into the array of links it crosses,
-    held in a {!Sfq_base.Flow_table} by flow id; forwarding indexes that
-    array, so a hop costs no table lookup by node pair. *)
+    {!compile} turns a path into the array of links it crosses, once;
+    {!set_route} gives a flow a compiled route, held in a
+    {!Sfq_base.Flow_table} by flow id. Forwarding indexes that array,
+    so a hop costs no table lookup by node pair. A compiled route is
+    never mutated, so any number of flows can share it: a topology
+    compiles each entry's path once and every flow entering there
+    takes the same array, allocating nothing. *)
 
 open Sfq_base
 
@@ -41,10 +45,24 @@ val link :
 val server : t -> src:node -> dst:node -> Server.t
 (** @raise Not_found if no such link. *)
 
+type route
+(** A path compiled against one network: the links it crosses, in
+    order. Immutable, so flows can share it. *)
+
+val compile : t -> node list -> route
+(** Check and compile a path. Every consecutive pair must be linked.
+    @raise Invalid_argument as {!route} does. *)
+
+val set_route : t -> flow:Packet.flow -> route -> unit
+(** Set (or replace) the flow's route, as {!route} does, without
+    compiling anything.
+    @raise Invalid_argument if the route was compiled for another
+    network. *)
+
 val route : t -> flow:Packet.flow -> node list -> unit
-(** Set (or replace) the flow's path. Every consecutive pair must be
-    linked; the check happens here, and a failed call leaves the
-    previous route in place.
+(** [set_route t ~flow (compile t path)]: set (or replace) the flow's
+    path. Every consecutive pair must be linked; the check happens
+    here, and a failed call leaves the previous route in place.
 
     The route is read each time one of the flow's packets leaves a
     link: the packet continues along the route it finds then, from that

@@ -35,7 +35,7 @@ let idle_packet = Packet.make ~flow:(-1) ~seq:1 ~len:1 ~born:0.0 ()
 let append handlers h = handlers @ [ h ]
 
 (* Loops rather than [List.iter]: a [fun h -> h p] argument would be a
-   closure allocated per packet. *)
+   closure allocated per packet (per drop, per closed flow). *)
 let rec call_inject hs p =
   match hs with
   | [] -> ()
@@ -49,6 +49,20 @@ let rec call_depart hs p ~start ~departed =
   | h :: rest ->
     h p ~start ~departed;
     call_depart rest p ~start ~departed
+
+let rec call_drop hs ~reason p =
+  match hs with
+  | [] -> ()
+  | h :: rest ->
+    h ~reason p;
+    call_drop rest ~reason p
+
+let rec call_close hs ~flow flushed =
+  match hs with
+  | [] -> ()
+  | h :: rest ->
+    h ~flow flushed;
+    call_close rest ~flow flushed
 
 let wire_metrics t m ~delay_range =
   let open Sfq_obs in
@@ -185,7 +199,7 @@ let create sim ~name ~rate ~sched ?flow_buffer_limit ?buffer ?metrics
     let on_drop ~now:_ ~reason pkt =
       t.drops <- t.drops + 1;
       if reason = Buffered.Rejected then t.arrival_rejected <- true;
-      List.iter (fun h -> h ~reason pkt) t.drop_handlers
+      call_drop t.drop_handlers ~reason pkt
     in
     t.view <- Buffered.sched (Buffered.wrap ~on_drop cfg sched));
   t.complete <- (fun () -> complete t);
@@ -208,7 +222,7 @@ let inject_priority t p =
 let close_flow t flow =
   let flushed = t.view.Sched.close_flow ~now:(Sim.now t.sim) flow in
   t.closed <- t.closed + List.length flushed;
-  List.iter (fun h -> h ~flow flushed) t.close_handlers;
+  call_close t.close_handlers ~flow flushed;
   flushed
 
 let on_inject t h = t.inject_handlers <- append t.inject_handlers h

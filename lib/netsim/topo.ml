@@ -33,6 +33,7 @@ type t = {
   net : Net.t;
   sim : Sim.t;
   paths : Net.node list array;
+  routes : Net.route array;  (* [paths], compiled once per entry *)
   hop_lists : hop list array;
   core : Server.t;
   servers : Server.t list;
@@ -111,7 +112,16 @@ let build sim spec ~access_rate ~core_rate ~mk_sched ?(prop_delay = 0.0) ?buffer
         Array.init left (fun i -> [ ups.(i); core; downs.(i mod right) ]),
         core )
   in
-  { spec; net; sim; paths; hop_lists; core = core.server; servers = List.rev !servers }
+  {
+    spec;
+    net;
+    sim;
+    paths;
+    routes = Array.map (Net.compile net) paths;
+    hop_lists;
+    core = core.server;
+    servers = List.rev !servers;
+  }
 
 let spec t = t.spec
 let net t = t.net
@@ -123,12 +133,16 @@ let nhops t ~entry = List.length t.hop_lists.(entry)
 let core t = t.core
 let servers t = t.servers
 
-let route_flow t ~flow ~entry = Net.route t.net ~flow t.paths.(entry)
+let route_flow t ~flow ~entry = Net.set_route t.net ~flow t.routes.(entry)
 
-let close_flow t ~flow ~entry =
-  List.fold_left
-    (fun n (h : hop) -> n + List.length (Server.close_flow h.server flow))
-    0 t.hop_lists.(entry)
+(* Direct recursion: a [List.fold_left] over a [fun] capturing [flow]
+   would allocate a closure per closed flow. *)
+let rec close_hops flow n = function
+  | [] -> n
+  | (h : hop) :: rest ->
+    close_hops flow (n + List.length (Server.close_flow h.server flow)) rest
+
+let close_flow t ~flow ~entry = close_hops flow 0 t.hop_lists.(entry)
 
 (* Every generated shape is an in-tree toward one sink, so the
    downstream path of a link — and with it the no-queueing time from

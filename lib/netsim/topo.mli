@@ -93,7 +93,9 @@ val residuals : t -> len:int -> float array
     latest service-start time that still meets the deadline. *)
 
 val route_flow : t -> flow:Packet.flow -> entry:int -> unit
-(** Register the flow's route with the {!Net}. *)
+(** Give the flow the entry's route in the {!Net}. {!build} compiles
+    each entry's path once ({!Net.compile}); this installs that shared
+    route ({!Net.set_route}), so routing a flow allocates nothing. *)
 
 val close_flow : t -> flow:Packet.flow -> entry:int -> int
 (** {!Server.close_flow} at every hop on the entry's route; returns the

@@ -27,8 +27,8 @@ type t = {
 
 let name t = t.name
 let result t = !(t.first)
-let observe t ev = if !(t.first) = None then t.observe_f ev
-let finalize t ~until = if !(t.first) = None then t.finalize_f ~until
+let observe t ev = match !(t.first) with None -> t.observe_f ev | Some _ -> ()
+let finalize t ~until = match !(t.first) with None -> t.finalize_f ~until | Some _ -> ()
 
 let pp_violation ppf v =
   Format.fprintf ppf "[%s] t=%g: %s" v.monitor v.at v.what
@@ -103,9 +103,9 @@ let conservation ~size () =
 let flow_fifo () =
   let pending : (Packet.flow, int Queue.t) Hashtbl.t = Hashtbl.create 16 in
   let queue_of flow =
-    match Hashtbl.find_opt pending flow with
-    | Some q -> q
-    | None ->
+    match Hashtbl.find pending flow with
+    | q -> q
+    | exception Not_found ->
       let q = Queue.create () in
       Hashtbl.add pending flow q;
       q
@@ -447,16 +447,31 @@ let sfq_throughput ~flows ~lmax ~rate ~capacity () =
 (* ------------------------------------------------------------------ *)
 (* Wrapper                                                              *)
 
+(* A loop rather than [List.iter]: a [fun m -> observe m ev] argument
+   would be a closure allocated per event. *)
+let rec emit_all monitors ev =
+  match monitors with
+  | [] -> ()
+  | m :: rest ->
+    observe m ev;
+    emit_all rest ev
+
+let rec emit_closed monitors ~now = function
+  | [] -> ()
+  | p :: rest ->
+    emit_all monitors (Drop { at = now; pkt = p; reason = Closed });
+    emit_closed monitors ~now rest
+
 let drop_event monitors ~now ~reason pkt =
   let reason =
     match (reason : Buffered.reason) with
     | Buffered.Rejected -> Rejected
     | Buffered.Evicted -> Evicted
   in
-  List.iter (fun m -> observe m (Drop { at = now; pkt; reason })) monitors
+  emit_all monitors (Drop { at = now; pkt; reason })
 
 let wrap inner ~capacity ~monitors =
-  let emit ev = List.iter (fun m -> observe m ev) monitors in
+  let emit ev = emit_all monitors ev in
   {
     Sched.name = inner.Sched.name ^ "+oracle";
     enqueue =
@@ -474,10 +489,10 @@ let wrap inner ~capacity ~monitors =
              inside a wrapped buffer layer would silently desync it *)
           emit (Idle { at = now; backlog = inner.Sched.size () });
           None
-        | Some pkt ->
+        | Some pkt as got ->
           let finish = now +. (float_of_int pkt.Packet.len /. capacity ()) in
           emit (Departure { start = now; finish; pkt });
-          Some pkt);
+          got);
     peek = inner.Sched.peek;
     size = inner.Sched.size;
     backlog = inner.Sched.backlog;
@@ -485,12 +500,12 @@ let wrap inner ~capacity ~monitors =
       (fun ~now victim flow ->
         match inner.Sched.evict ~now victim flow with
         | None -> None
-        | Some p ->
+        | Some p as got ->
           emit (Drop { at = now; pkt = p; reason = Evicted });
-          Some p);
+          got);
     close_flow =
       (fun ~now flow ->
         let flushed = inner.Sched.close_flow ~now flow in
-        List.iter (fun p -> emit (Drop { at = now; pkt = p; reason = Closed })) flushed;
+        emit_closed monitors ~now flushed;
         flushed);
   }

@@ -18,6 +18,11 @@ let get t i =
   if i < 0 || i >= t.size then invalid_arg "Vec.get: index out of bounds";
   t.data.(i)
 
+let pop t =
+  if t.size = 0 then invalid_arg "Vec.pop: empty";
+  t.size <- t.size - 1;
+  t.data.(t.size)
+
 let last t = if t.size = 0 then None else Some t.data.(t.size - 1)
 
 let iter t ~f =

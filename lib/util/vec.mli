@@ -13,6 +13,11 @@ val push : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
 (** @raise Invalid_argument on out-of-bounds. *)
 
+val pop : 'a t -> 'a
+(** Remove and return the last element: with {!push}, a stack. The
+    vacated slot is not cleared, like {!clear}'s.
+    @raise Invalid_argument when empty. *)
+
 val last : 'a t -> 'a option
 val iter : 'a t -> f:('a -> unit) -> unit
 val fold : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b

@@ -149,6 +149,21 @@ let test_net_recycled_id_takes_new_route () =
   check_int "both delivered" 2 (Net.delivered net);
   check_int "core carried both" 2 (Server.departed (Topo.core topo))
 
+let test_net_shared_compiled_route () =
+  let sim, net, a, b, c = line () in
+  let r = Net.compile net [ a; b; c ] in
+  Net.set_route net ~flow:1 r;
+  Net.set_route net ~flow:2 r;
+  Sim.schedule sim ~at:0.0 (fun () ->
+      Net.inject net (pkt ~flow:1 ~seq:1 ~len:100 ());
+      Net.inject net (pkt ~flow:2 ~seq:1 ~len:100 ()));
+  Sim.run_all sim ();
+  check_int "both flows delivered" 2 (Net.delivered net);
+  let _, other, _, _, _ = line () in
+  Alcotest.check_raises "foreign route"
+    (Invalid_argument "Net.set_route: route compiled for another network") (fun () ->
+      Net.set_route other ~flow:1 r)
+
 let test_net_missing_link_raises_at_route () =
   let sim, net, a, b, c = line () in
   Net.route net ~flow:1 [ a; b; c ];
@@ -324,6 +339,209 @@ let test_link_memory_scales_with_carried_flows () =
     (many <= 1.5 *. few)
 
 (* ------------------------------------------------------------------ *)
+(* Exact-count budgets: what one delivered packet costs the host path
+   on small cells shaped like the star-churn and tree-buffered
+   benchmark workloads. Word and call counts are deterministic, so a
+   budget just above today's count fails on one extra allocation per
+   packet. Minor words are read with [Gc.minor_words], which counts
+   the words allocated since the last minor collection too; the
+   [Gc.minor] fences make the promoted count cover exactly the run. *)
+
+type budget = { minor : float; promoted : float; calls : float; high_water : int }
+
+let star_cell () = Net_sweep.scale_star ~flows:20_000 ~window:256 ~seed:7 ()
+
+let tree_cell () =
+  Net_sweep.scenario ~label:"tree-buffered-small"
+    ~spec:(Topo.Tree { arity = 4; depth = 3 })
+    ~disc:Sfq_experiments.Disc.Pifo_sfq ~flows:256 ~pkts_per_flow:8 ~load:1.1
+    ~access_rate:262_144.0
+    ~buffer:(Buffered.config ~per_flow:8 ~aggregate:1024 ~policy:Buffered.Drop_front ())
+    ~reserved:4 ~seed:7 ()
+
+(* Every call into a link scheduler, counted. *)
+let counting calls (s : Sched.t) =
+  {
+    s with
+    Sched.enqueue =
+      (fun ~now p ->
+        incr calls;
+        s.Sched.enqueue ~now p);
+    dequeue =
+      (fun ~now ->
+        incr calls;
+        s.Sched.dequeue ~now);
+    peek =
+      (fun () ->
+        incr calls;
+        s.Sched.peek ());
+    size =
+      (fun () ->
+        incr calls;
+        s.Sched.size ());
+    backlog =
+      (fun f ->
+        incr calls;
+        s.Sched.backlog f);
+    evict =
+      (fun ~now v f ->
+        incr calls;
+        s.Sched.evict ~now v f);
+    close_flow =
+      (fun ~now f ->
+        incr calls;
+        s.Sched.close_flow ~now f);
+  }
+
+let check_budget name (s : Net_sweep.scenario) (b : budget) () =
+  Gc.minor ();
+  let m0 = Gc.minor_words () and _, p0, _ = Gc.counters () in
+  let o = Net_sweep.run_scenario s in
+  Gc.minor ();
+  let m1 = Gc.minor_words () and _, p1, _ = Gc.counters () in
+  let calls = ref 0 in
+  let weights = scenario_weights s in
+  let mk_link _ ~rate:_ = counting calls (Sfq_experiments.Disc.make s.disc weights) in
+  let counted = Net_sweep.run_raw ~mk_link s in
+  check_bool "the counted run is the same run" true
+    (Net_sweep.outcome_digest counted = Net_sweep.outcome_digest o);
+  let pkts = float_of_int o.Net_sweep.delivered in
+  let minor = (m1 -. m0) /. pkts
+  and promoted = (p1 -. p0) /. pkts
+  and calls = float_of_int !calls /. pkts in
+  Printf.printf "%s: %d delivered, %.4f minor words, %.4f promoted words, %.4f sched calls \
+                 per packet, high water %d\n"
+    name o.Net_sweep.delivered minor promoted calls o.Net_sweep.high_water;
+  let within what got limit =
+    check_bool (Printf.sprintf "%s: %s %.4f <= %g per packet" name what got limit) true
+      (got <= limit)
+  in
+  within "minor words" minor b.minor;
+  within "promoted words" promoted b.promoted;
+  within "scheduler calls" calls b.calls;
+  check_bool
+    (Printf.sprintf "%s: registry high water %d <= %d" name o.Net_sweep.high_water
+       b.high_water)
+    true
+    (o.Net_sweep.high_water <= b.high_water)
+
+let test_star_budget =
+  check_budget "star-churn cell" (star_cell ())
+    { minor = 39.5; promoted = 1.2; calls = 5.41; high_water = 260 }
+
+let test_tree_budget =
+  check_budget "tree-buffered cell" (tree_cell ())
+    { minor = 180.0; promoted = 52.0; calls = 26.0; high_water = 260 }
+
+(* ------------------------------------------------------------------ *)
+(* The composed end-to-end oracle, driven by hand.                     *)
+
+module E2e = Sfq_oracle.E2e_oracle
+
+(* 1024-bit packets at a 1024 b/s reservation: one second apart in
+   EAT. *)
+let oracle ?(betas = [ 0.5; 0.25 ]) ?(taus = [ 0.125; 0.0625 ]) () =
+  E2e.create ~name:"e2e" ~rate:(fun _ -> 1024.0) ~betas:(fun _ -> betas)
+    ~taus:(fun _ -> taus) ()
+
+let inject o ?rate ~seq at = E2e.inject o (Packet.make ?rate ~flow:3 ~seq ~len:1024 ~born:at ()) ~at
+let deliver o ~seq at = E2e.deliver o (pkt ~flow:3 ~seq ~len:1024 ()) ~at
+
+let violation o =
+  match E2e.result o with Some v -> v.Sfq_oracle.Monitor.what | None -> "none"
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_oracle_fifo_losses () =
+  let o = oracle () in
+  for seq = 1 to 20 do
+    inject o ~seq (float_of_int seq)
+  done;
+  (* 4 and 9 are skipped by later deliveries; 20 never arrives. *)
+  for seq = 1 to 19 do
+    if seq <> 4 && seq <> 9 then deliver o ~seq (float_of_int seq +. 0.5)
+  done;
+  E2e.finalize o ~until:100.0;
+  check_int "checked" 17 (E2e.checked o);
+  check_int "lost" 3 (E2e.lost o);
+  Alcotest.(check string) "no violation" "none" (violation o)
+
+let test_oracle_ring_wraps () =
+  let o = oracle () in
+  let next = ref 1 and delivered = ref 1 in
+  let inject_n n =
+    for _ = 1 to n do
+      inject o ~seq:!next (float_of_int !next);
+      incr next
+    done
+  and deliver_n n =
+    for _ = 1 to n do
+      deliver o ~seq:!delivered (float_of_int !delivered);
+      incr delivered
+    done
+  in
+  (* Move the ring's head, then queue a backlog of 34 across the wrap. *)
+  inject_n 10;
+  deliver_n 6;
+  inject_n 30;
+  deliver_n 20;
+  inject_n 5;
+  deliver_n 19;
+  E2e.finalize o ~until:100.0;
+  check_int "checked" 45 (E2e.checked o);
+  check_int "lost" 0 (E2e.lost o);
+  Alcotest.(check string) "no violation" "none" (violation o)
+
+let test_oracle_never_injected () =
+  let o = oracle () in
+  deliver o ~seq:1 1.0;
+  check_int "checked" 0 (E2e.checked o);
+  check_bool "reported" true (contains (violation o) "never injected")
+
+let test_oracle_out_of_order () =
+  let o = oracle () in
+  List.iter (fun seq -> inject o ~seq 0.0) [ 1; 2; 3 ];
+  deliver o ~seq:2 1.5;
+  deliver o ~seq:1 1.75;
+  check_int "checked" 1 (E2e.checked o);
+  check_int "lost" 1 (E2e.lost o);
+  check_bool "reported" true (contains (violation o) "out of order (next pending 3)")
+
+let test_oracle_min_slack () =
+  let o = oracle () in
+  (* EATs: 0, max(0.5, 0 + 1) = 1, max(3, 1 + 1) = 3, max(4, 3 + 1) = 4;
+     each bound is EAT + (0.5 + 0.25) + (0.125 + 0.0625). *)
+  inject o ~seq:1 0.0;
+  inject o ~seq:2 0.5;
+  inject o ~seq:3 3.0;
+  deliver o ~seq:1 0.5;
+  deliver o ~seq:2 1.75;
+  deliver o ~seq:3 3.5;
+  let bound eat =
+    Sfq_core.Bounds.e2e_departure ~eat_first:eat ~betas:[ 0.5; 0.25 ] ~taus:[ 0.125; 0.0625 ]
+  in
+  check_bool "min slack is seq 2's, bit for bit" true (E2e.min_slack o = bound 1.0 -. 1.75);
+  check_float "hand-computed" 0.1875 (E2e.min_slack o);
+  Alcotest.(check string) "no violation" "none" (violation o);
+  inject o ~seq:4 4.0;
+  deliver o ~seq:4 5.0;
+  check_float "late by 1/16 s" (-0.0625) (E2e.min_slack o);
+  check_bool "reported" true (contains (violation o) "composed bound")
+
+let test_oracle_packet_rate () =
+  let o = oracle ~betas:[] ~taus:[] () in
+  (* At 2048 b/s the second packet's EAT is 0.5, not the flow rate's 1. *)
+  inject o ~rate:2048.0 ~seq:1 0.0;
+  inject o ~rate:2048.0 ~seq:2 0.0;
+  deliver o ~seq:1 0.0;
+  deliver o ~seq:2 0.75;
+  check_float "bound from the packet's rate" (-0.25) (E2e.min_slack o);
+  check_bool "reported" true (contains (violation o) "composed bound")
+
+(* ------------------------------------------------------------------ *)
 (* Properties and soak                                                  *)
 
 let prop_net_conservation =
@@ -402,11 +620,27 @@ let () =
             test_net_missing_link_raises_at_route;
           Alcotest.test_case "unroute during propagation" `Quick test_net_unroute_in_propagation;
           Alcotest.test_case "propagation keeps per-link FIFO" `Quick test_net_propagation_fifo;
+          Alcotest.test_case "flows share a compiled route" `Quick
+            test_net_shared_compiled_route;
         ] );
       ( "memory",
         [
           Alcotest.test_case "link state scales with carried flows" `Quick
             test_link_memory_scales_with_carried_flows;
+        ] );
+      ( "budgets",
+        [
+          Alcotest.test_case "star-churn cell per packet" `Quick test_star_budget;
+          Alcotest.test_case "tree-buffered cell per packet" `Quick test_tree_budget;
+        ] );
+      ( "e2e_oracle",
+        [
+          Alcotest.test_case "FIFO delivery with three losses" `Quick test_oracle_fifo_losses;
+          Alcotest.test_case "backlog wraps the ring" `Quick test_oracle_ring_wraps;
+          Alcotest.test_case "never-injected delivery" `Quick test_oracle_never_injected;
+          Alcotest.test_case "out-of-order delivery" `Quick test_oracle_out_of_order;
+          Alcotest.test_case "min slack is the bound's" `Quick test_oracle_min_slack;
+          Alcotest.test_case "Packet.rate overrides ~rate" `Quick test_oracle_packet_rate;
         ] );
       ( "properties",
         [

@@ -446,13 +446,19 @@ let test_vec_push_get () =
   check_int "length" 100 (Vec.length v);
   check_int "get 0" 0 (Vec.get v 0);
   check_int "get 99" 99 (Vec.get v 99);
-  check_bool "last" true (Vec.last v = Some 99)
+  check_bool "last" true (Vec.last v = Some 99);
+  check_int "pop" 99 (Vec.pop v);
+  check_int "pop is LIFO" 98 (Vec.pop v);
+  check_int "length after pops" 98 (Vec.length v)
 
 let test_vec_bounds () =
   let v = Vec.create () in
   Vec.push v 1;
   Alcotest.check_raises "oob" (Invalid_argument "Vec.get: index out of bounds") (fun () ->
-      ignore (Vec.get v 1))
+      ignore (Vec.get v 1));
+  ignore (Vec.pop v);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Vec.pop: empty") (fun () ->
+      ignore (Vec.pop v))
 
 let test_vec_iter_fold () =
   let v = Vec.create () in
