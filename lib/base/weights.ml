@@ -11,7 +11,10 @@ let of_list ?(default = 1.0) assoc =
   List.iter (fun (_, w) -> check w) assoc;
   let table = Hashtbl.create 16 in
   List.iter (fun (f, w) -> Hashtbl.replace table f w) assoc;
-  { lookup = (fun f -> match Hashtbl.find_opt table f with Some w -> w | None -> default) }
+  (* [mem] then [find] on a hit: [find_opt] allocates a [Some] per hit,
+     and a raised [Not_found] costs more on the many misses of
+     unlisted flows. *)
+  { lookup = (fun f -> if Hashtbl.mem table f then Hashtbl.find table f else default) }
 
 let of_fun f = { lookup = f }
 

@@ -2,6 +2,7 @@ open Sfq_base
 open Sfq_sched
 open Sfq_core
 open Sfq_analysis
+module Slot_map = Sfq_util.Slot_map
 
 type drop_reason = Rejected | Evicted | Closed
 
@@ -18,17 +19,49 @@ type event =
 
 type violation = { monitor : string; at : float; what : string }
 
+type report = at:float -> string -> unit
+
+(* One hook per event kind, so a wrapped scheduler feeds its monitors
+   without building an [event] per call. Hooks take the monitor's
+   [report] as an argument: binding it by partial application would
+   cost a curry closure per hook and an extra indirect call per
+   event. *)
 type t = {
   name : string;
   first : violation option ref;
-  observe_f : event -> unit;
-  finalize_f : until:float -> unit;
+  report : report;
+  arrival : report -> at:float -> Packet.t -> unit;
+  departure : report -> start:float -> finish:float -> Packet.t -> unit;
+  drop : report -> at:float -> Packet.t -> drop_reason -> unit;
+  idle : report -> at:float -> backlog:int -> unit;
+  finalize_f : report -> until:float -> unit;
 }
 
 let name t = t.name
 let result t = !(t.first)
-let observe t ev = match !(t.first) with None -> t.observe_f ev | Some _ -> ()
-let finalize t ~until = match !(t.first) with None -> t.finalize_f ~until | Some _ -> ()
+
+(* Each monitor latches its first violation and ignores every later
+   event. *)
+let arrival t ~at pkt =
+  match !(t.first) with None -> t.arrival t.report ~at pkt | Some _ -> ()
+
+let departure t ~start ~finish pkt =
+  match !(t.first) with None -> t.departure t.report ~start ~finish pkt | Some _ -> ()
+
+let drop t ~at pkt reason =
+  match !(t.first) with None -> t.drop t.report ~at pkt reason | Some _ -> ()
+
+let idle t ~at ~backlog =
+  match !(t.first) with None -> t.idle t.report ~at ~backlog | Some _ -> ()
+
+let observe t = function
+  | Arrival { at; pkt } -> arrival t ~at pkt
+  | Departure { start; finish; pkt } -> departure t ~start ~finish pkt
+  | Drop { at; pkt; reason } -> drop t ~at pkt reason
+  | Idle { at; backlog } -> idle t ~at ~backlog
+
+let finalize t ~until =
+  match !(t.first) with None -> t.finalize_f t.report ~until | Some _ -> ()
 
 let pp_violation ppf v =
   Format.fprintf ppf "[%s] t=%g: %s" v.monitor v.at v.what
@@ -37,18 +70,15 @@ let pp_violation ppf v =
    absolute for small magnitudes, relative for large ones. *)
 let slack b = 1e-9 *. Float.max 1.0 (Float.abs b)
 
-let make ~name ?observe ?finalize () =
+(* A missing hook ignores its events. *)
+let make ~name ?(arrival = fun _ ~at:_ _ -> ())
+    ?(departure = fun _ ~start:_ ~finish:_ _ -> ()) ?(drop = fun _ ~at:_ _ _ -> ())
+    ?(idle = fun _ ~at:_ ~backlog:_ -> ()) ?(finalize = fun _ ~until:_ -> ()) () =
   let first = ref None in
   let report ~at what =
     if !first = None then first := Some { monitor = name; at; what }
   in
-  let observe_f =
-    match observe with None -> fun _ -> () | Some f -> f report
-  in
-  let finalize_f =
-    match finalize with None -> fun ~until:_ -> () | Some f -> f report
-  in
-  { name; first; observe_f; finalize_f }
+  { name; first; report; arrival; departure; drop; idle; finalize_f = finalize }
 
 (* ------------------------------------------------------------------ *)
 (* Structural monitors                                                  *)
@@ -56,18 +86,16 @@ let make ~name ?observe ?finalize () =
 let work_conserving () =
   let outstanding = ref 0 in
   make ~name:"work_conserving"
-    ~observe:(fun report -> function
-      | Arrival _ -> incr outstanding
-      | Departure { finish; _ } ->
-        decr outstanding;
-        if !outstanding < 0 then report ~at:finish "more departures than arrivals"
-      | Drop { at; _ } ->
-        decr outstanding;
-        if !outstanding < 0 then report ~at "more removals than arrivals"
-      | Idle { at; _ } ->
-        if !outstanding > 0 then
-          report ~at
-            (Printf.sprintf "idle poll with %d packet(s) queued" !outstanding))
+    ~arrival:(fun _ ~at:_ _ -> incr outstanding)
+    ~departure:(fun report ~start:_ ~finish _ ->
+      decr outstanding;
+      if !outstanding < 0 then report ~at:finish "more departures than arrivals")
+    ~drop:(fun report ~at _ _ ->
+      decr outstanding;
+      if !outstanding < 0 then report ~at "more removals than arrivals")
+    ~idle:(fun report ~at ~backlog:_ ->
+      if !outstanding > 0 then
+        report ~at (Printf.sprintf "idle poll with %d packet(s) queued" !outstanding))
     ()
 
 (* The paper's implicit packet-conservation law, made explicit for the
@@ -90,83 +118,170 @@ let conservation ~size () =
            !arrived !departed !dropped backlog)
   in
   make ~name:"conservation"
-    ~observe:(fun report -> function
-      | Arrival _ -> incr arrived
-      | Departure { finish; _ } ->
-        incr departed;
-        check report ~at:finish
-      | Drop _ -> incr dropped
-      | Idle { at; _ } -> check report ~at)
+    ~arrival:(fun _ ~at:_ _ -> incr arrived)
+    ~departure:(fun report ~start:_ ~finish _ ->
+      incr departed;
+      check report ~at:finish)
+    ~drop:(fun _ ~at:_ _ _ -> incr dropped)
+    ~idle:(fun report ~at ~backlog:_ -> check report ~at)
     ~finalize:(fun report ~until -> check report ~at:until)
     ()
 
+(* [flow_fifo]'s state at one hop holds only the flows with packets
+   pending there. Such a flow holds a [Slot_map] slot, and the slot
+   indexes the ring of its pending seqs, oldest first. The slot is freed
+   when the flow's last pending packet leaves; its ring stays with the
+   slot, so the next flow to take the slot reuses it. Every array is
+   allocated on first use and grows by doubling. *)
+type pending = {
+  slots : Slot_map.t;
+  mutable flow : int array;  (* slot -> flow id *)
+  mutable head : int array;  (* slot -> ring index of the oldest seq *)
+  mutable count : int array;  (* slot -> seqs pending; 0 once freed *)
+  mutable ring : int array array;  (* slot -> ring, power-of-two length *)
+}
+
+(* first length of the slot arrays and of each ring *)
+let min_len = 4
+
+let grow_slots q =
+  let n = Stdlib.max min_len (2 * Array.length q.count) in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  q.flow <- extend q.flow 0;
+  q.head <- extend q.head 0;
+  q.count <- extend q.count 0;
+  q.ring <- extend q.ring [||]
+
+(* Slots are handed out densely from 0, so a new slot is at most one
+   past the arrays' end. *)
+let push q flow seq =
+  let s = Slot_map.find_or_add q.slots flow in
+  if s >= Array.length q.count then grow_slots q;
+  let n = q.count.(s) in
+  if n = 0 then q.flow.(s) <- flow;
+  let r = q.ring.(s) in
+  let r =
+    if n < Array.length r then r
+    else begin
+      (* unwrap: the oldest seq moves to index 0 *)
+      let grown = Array.make (Stdlib.max min_len (2 * n)) 0 in
+      let h = q.head.(s) and mask = Array.length r - 1 in
+      for i = 0 to n - 1 do
+        grown.(i) <- r.((h + i) land mask)
+      done;
+      q.ring.(s) <- grown;
+      q.head.(s) <- 0;
+      grown
+    end
+  in
+  r.((q.head.(s) + n) land (Array.length r - 1)) <- seq;
+  q.count.(s) <- n + 1
+
+let shrink q s flow =
+  let n = q.count.(s) - 1 in
+  q.count.(s) <- n;
+  if n = 0 then ignore (Slot_map.remove q.slots flow)
+
+(* The flow's oldest pending seq, removed; -1 when none is pending
+   (seqs are positive). *)
+let pop q flow =
+  let s = Slot_map.find q.slots flow in
+  if s < 0 then -1
+  else begin
+    let r = q.ring.(s) and h = q.head.(s) in
+    let seq = r.(h) in
+    q.head.(s) <- (h + 1) land (Array.length r - 1);
+    shrink q s flow;
+    seq
+  end
+
+(* Remove the flow's oldest pending [seq], closing the gap from the
+   shorter side: a drop-front or a rejected arrival moves nothing.
+   [false] when [seq] is not pending. *)
+let remove q flow seq =
+  let s = Slot_map.find q.slots flow in
+  if s < 0 then false
+  else begin
+    let r = q.ring.(s) and h = q.head.(s) and n = q.count.(s) in
+    let mask = Array.length r - 1 in
+    let i = ref 0 in
+    while !i < n && r.((h + !i) land mask) <> seq do
+      incr i
+    done;
+    let i = !i in
+    if i = n then false
+    else begin
+      if i < n - 1 - i then begin
+        for j = i downto 1 do
+          r.((h + j) land mask) <- r.((h + j - 1) land mask)
+        done;
+        q.head.(s) <- (h + 1) land mask
+      end
+      else
+        for j = i to n - 2 do
+          r.((h + j) land mask) <- r.((h + j + 1) land mask)
+        done;
+      shrink q s flow;
+      true
+    end
+  end
+
 let flow_fifo () =
-  let pending : (Packet.flow, int Queue.t) Hashtbl.t = Hashtbl.create 16 in
-  let queue_of flow =
-    match Hashtbl.find pending flow with
-    | q -> q
-    | exception Not_found ->
-      let q = Queue.create () in
-      Hashtbl.add pending flow q;
-      q
+  let q =
+    { slots = Slot_map.create (); flow = [||]; head = [||]; count = [||]; ring = [||] }
   in
   make ~name:"flow_fifo"
-    ~observe:(fun report -> function
-      | Arrival { pkt; _ } -> Queue.push pkt.Packet.seq (queue_of pkt.Packet.flow)
-      | Departure { finish; pkt; _ } -> (
-        match Queue.take_opt (queue_of pkt.Packet.flow) with
-        | None ->
-          report ~at:finish
-            (Printf.sprintf "flow %d: seq %d departed but never arrived"
-               pkt.Packet.flow pkt.Packet.seq)
-        | Some seq when seq <> pkt.Packet.seq ->
-          report ~at:finish
-            (Printf.sprintf "flow %d: expected seq %d to depart next, got %d"
-               pkt.Packet.flow seq pkt.Packet.seq)
-        | Some _ -> ())
-      | Drop { at; pkt; reason } ->
-        (* A drop may take any position in the flow's FIFO (front for
-           drop-front, back for a rejected arrival, anywhere for a
-           flush) — but it must name a packet that is actually pending.
-           This is what catches a policy that debits one queue while
-           evicting from another. *)
-        let q = queue_of pkt.Packet.flow in
-        let n = Queue.length q in
-        let found = ref false in
-        for _ = 1 to n do
-          let s = Queue.pop q in
-          if (not !found) && s = pkt.Packet.seq then found := true else Queue.push s q
-        done;
-        if not !found then
-          report ~at
-            (Printf.sprintf "flow %d: %s seq %d was not pending" pkt.Packet.flow
-               (drop_reason_name reason) pkt.Packet.seq)
-      | Idle _ -> ())
+    ~arrival:(fun _ ~at:_ pkt -> push q pkt.Packet.flow pkt.Packet.seq)
+    ~departure:(fun report ~start:_ ~finish pkt ->
+      let seq = pop q pkt.Packet.flow in
+      if seq < 0 then
+        report ~at:finish
+          (Printf.sprintf "flow %d: seq %d departed but never arrived" pkt.Packet.flow
+             pkt.Packet.seq)
+      else if seq <> pkt.Packet.seq then
+        report ~at:finish
+          (Printf.sprintf "flow %d: expected seq %d to depart next, got %d"
+             pkt.Packet.flow seq pkt.Packet.seq))
+    ~drop:(fun report ~at pkt reason ->
+      (* A drop may take any position in the flow's FIFO (front for
+         drop-front, back for a rejected arrival, anywhere for a
+         flush) — but it must name a packet that is actually pending.
+         This is what catches a policy that debits one queue while
+         evicting from another. *)
+      if not (remove q pkt.Packet.flow pkt.Packet.seq) then
+        report ~at
+          (Printf.sprintf "flow %d: %s seq %d was not pending" pkt.Packet.flow
+             (drop_reason_name reason) pkt.Packet.seq))
     ~finalize:(fun report ~until ->
-      Hashtbl.iter
-        (fun flow q ->
-          if not (Queue.is_empty q) then
-            report ~at:until
-              (Printf.sprintf "flow %d: %d packet(s) never departed" flow
-                 (Queue.length q)))
-        pending)
+      (* the lowest flow id with packets still pending *)
+      let worst = ref (-1) in
+      for s = 0 to Array.length q.count - 1 do
+        if q.count.(s) > 0 && (!worst < 0 || q.flow.(s) < q.flow.(!worst)) then worst := s
+      done;
+      if !worst >= 0 then
+        report ~at:until
+          (Printf.sprintf "flow %d: %d packet(s) never departed" q.flow.(!worst)
+             q.count.(!worst)))
     ()
 
 let tag_monotone ~name ?(allow_idle_reset = true) ~vtime () =
   let prev = ref neg_infinity in
+  let check report ~at =
+    let v = vtime () in
+    if v < !prev -. slack !prev then
+      report ~at (Printf.sprintf "virtual time went backwards: %g -> %g" !prev v)
+    else prev := Float.max !prev v
+  in
   make ~name
-    ~observe:(fun report ev ->
-      let v = vtime () in
-      match ev with
-      | Idle _ when allow_idle_reset -> prev := v
-      | Arrival { at; _ }
-      | Departure { finish = at; _ }
-      | Drop { at; _ }
-      | Idle { at; _ } ->
-        if v < !prev -. slack !prev then
-          report ~at
-            (Printf.sprintf "virtual time went backwards: %g -> %g" !prev v)
-        else prev := Float.max !prev v)
+    ~arrival:(fun report ~at _ -> check report ~at)
+    ~departure:(fun report ~start:_ ~finish _ -> check report ~at:finish)
+    ~drop:(fun report ~at _ _ -> check report ~at)
+    ~idle:(fun report ~at ~backlog:_ ->
+      if allow_idle_reset then prev := vtime () else check report ~at)
     ()
 
 (* ------------------------------------------------------------------ *)
@@ -176,23 +291,19 @@ let fairness ?(name = "fairness") ?(bound = Bounds.h_sfq) ~rate () =
   let log = Service_log.create () in
   let lmax : (Packet.flow, float) Hashtbl.t = Hashtbl.create 16 in
   make ~name
-    ~observe:(fun _report -> function
-      | Arrival { at; pkt } ->
-        Service_log.note_arrival log ~at pkt.Packet.flow;
-        let l = float_of_int pkt.Packet.len in
-        let cur =
-          Option.value (Hashtbl.find_opt lmax pkt.Packet.flow) ~default:0.0
-        in
-        if l > cur then Hashtbl.replace lmax pkt.Packet.flow l
-      | Departure { start; finish; pkt } ->
-        Service_log.note_completion log ~flow:pkt.Packet.flow ~start ~finish
-          ~len:pkt.Packet.len
-      | Drop { at; pkt; _ } ->
-        (* restricts the guarantee to service actually rendered: the
-           dropped packet stops counting as backlog, and W_f never sees
-           it, so Theorem 1 is checked over the surviving traffic *)
-        Service_log.note_removal log ~at pkt.Packet.flow
-      | Idle _ -> ())
+    ~arrival:(fun _ ~at pkt ->
+      Service_log.note_arrival log ~at pkt.Packet.flow;
+      let l = float_of_int pkt.Packet.len in
+      let cur = Option.value (Hashtbl.find_opt lmax pkt.Packet.flow) ~default:0.0 in
+      if l > cur then Hashtbl.replace lmax pkt.Packet.flow l)
+    ~departure:(fun _ ~start ~finish pkt ->
+      Service_log.note_completion log ~flow:pkt.Packet.flow ~start ~finish
+        ~len:pkt.Packet.len)
+    ~drop:(fun _ ~at pkt _ ->
+      (* restricts the guarantee to service actually rendered: the
+         dropped packet stops counting as backlog, and W_f never sees
+         it, so Theorem 1 is checked over the surviving traffic *)
+      Service_log.note_removal log ~at pkt.Packet.flow)
     ~finalize:(fun report ~until ->
       let flows = List.sort compare (Service_log.flows log) in
       let lmax_of f = Option.value (Hashtbl.find_opt lmax f) ~default:0.0 in
@@ -247,19 +358,15 @@ let fairness_measured ?(name = "fairness_budget") ?(bound = Bounds.h_sfq) ~rate 
   let budget = ref empty_budget in
   let m =
     make ~name
-      ~observe:(fun _report -> function
-        | Arrival { at; pkt } ->
-          Service_log.note_arrival log ~at pkt.Packet.flow;
-          let l = float_of_int pkt.Packet.len in
-          let cur =
-            Option.value (Hashtbl.find_opt lmax pkt.Packet.flow) ~default:0.0
-          in
-          if l > cur then Hashtbl.replace lmax pkt.Packet.flow l
-        | Departure { start; finish; pkt } ->
-          Service_log.note_completion log ~flow:pkt.Packet.flow ~start ~finish
-            ~len:pkt.Packet.len
-        | Drop { at; pkt; _ } -> Service_log.note_removal log ~at pkt.Packet.flow
-        | Idle _ -> ())
+      ~arrival:(fun _ ~at pkt ->
+        Service_log.note_arrival log ~at pkt.Packet.flow;
+        let l = float_of_int pkt.Packet.len in
+        let cur = Option.value (Hashtbl.find_opt lmax pkt.Packet.flow) ~default:0.0 in
+        if l > cur then Hashtbl.replace lmax pkt.Packet.flow l)
+      ~departure:(fun _ ~start ~finish pkt ->
+        Service_log.note_completion log ~flow:pkt.Packet.flow ~start ~finish
+          ~len:pkt.Packet.len)
+      ~drop:(fun _ ~at pkt _ -> Service_log.note_removal log ~at pkt.Packet.flow)
       ~finalize:(fun _report ~until ->
         let flows = List.sort compare (Service_log.flows log) in
         let lmax_of f = Option.value (Hashtbl.find_opt lmax f) ~default:0.0 in
@@ -306,30 +413,26 @@ let delay_monitor ~name ~flows ~lmax ~eat_rate ~bound () =
   let eats : (Packet.flow * int, float) Hashtbl.t = Hashtbl.create 64 in
   let sum_all = List.fold_left (fun acc f -> acc +. lmax f) 0.0 flows in
   make ~name
-    ~observe:(fun report -> function
-      | Arrival { at; pkt } ->
-        let r = eat_rate pkt in
-        if r > 0.0 then
-          let e =
-            Eat.on_arrival eat ~now:at ~flow:pkt.Packet.flow ~len:pkt.Packet.len
-              ~rate:r
-          in
-          Hashtbl.replace eats (pkt.Packet.flow, pkt.Packet.seq) e
-      | Departure { finish; pkt; _ } -> (
-        match Hashtbl.find_opt eats (pkt.Packet.flow, pkt.Packet.seq) with
-        | None -> ()
-        | Some e ->
-          let sum_other = sum_all -. lmax pkt.Packet.flow in
-          let b = bound ~eat:e ~sum_other_lmax:sum_other ~pkt in
-          if finish > b +. slack b then
-            report ~at:finish
-              (Printf.sprintf
-                 "flow %d seq %d: departed at %g, bound %g (EAT %g)"
-                 pkt.Packet.flow pkt.Packet.seq finish b e))
-      | Drop { pkt; _ } ->
-        (* a dropped packet has no departure to bound; forget its EAT *)
-        Hashtbl.remove eats (pkt.Packet.flow, pkt.Packet.seq)
-      | Idle _ -> ())
+    ~arrival:(fun _ ~at pkt ->
+      let r = eat_rate pkt in
+      if r > 0.0 then
+        let e =
+          Eat.on_arrival eat ~now:at ~flow:pkt.Packet.flow ~len:pkt.Packet.len ~rate:r
+        in
+        Hashtbl.replace eats (pkt.Packet.flow, pkt.Packet.seq) e)
+    ~departure:(fun report ~start:_ ~finish pkt ->
+      match Hashtbl.find_opt eats (pkt.Packet.flow, pkt.Packet.seq) with
+      | None -> ()
+      | Some e ->
+        let sum_other = sum_all -. lmax pkt.Packet.flow in
+        let b = bound ~eat:e ~sum_other_lmax:sum_other ~pkt in
+        if finish > b +. slack b then
+          report ~at:finish
+            (Printf.sprintf "flow %d seq %d: departed at %g, bound %g (EAT %g)"
+               pkt.Packet.flow pkt.Packet.seq finish b e))
+    ~drop:(fun _ ~at:_ pkt _ ->
+      (* a dropped packet has no departure to bound; forget its EAT *)
+      Hashtbl.remove eats (pkt.Packet.flow, pkt.Packet.seq))
     ()
 
 let sfq_delay ~flows ~lmax ~rate ~capacity () =
@@ -357,17 +460,15 @@ let sfq_throughput ~flows ~lmax ~rate ~capacity () =
   let log = Service_log.create () in
   let sum_lmax = List.fold_left (fun acc f -> acc +. lmax f) 0.0 flows in
   make ~name:"sfq_throughput"
-    ~observe:(fun _report -> function
-      | Arrival { at; pkt } -> Service_log.note_arrival log ~at pkt.Packet.flow
-      | Departure { start; finish; pkt } ->
-        Service_log.note_completion log ~flow:pkt.Packet.flow ~start ~finish
-          ~len:pkt.Packet.len
-      | Drop { at; pkt; _ } ->
-        (* Theorem 2 presumes the backlog is eventually served; attach
-           this monitor only to loss-free runs. The removal is still
-           tracked so the busy-interval accounting stays consistent. *)
-        Service_log.note_removal log ~at pkt.Packet.flow
-      | Idle _ -> ())
+    ~arrival:(fun _ ~at pkt -> Service_log.note_arrival log ~at pkt.Packet.flow)
+    ~departure:(fun _ ~start ~finish pkt ->
+      Service_log.note_completion log ~flow:pkt.Packet.flow ~start ~finish
+        ~len:pkt.Packet.len)
+    ~drop:(fun _ ~at pkt _ ->
+      (* Theorem 2 presumes the backlog is eventually served; attach
+         this monitor only to loss-free runs. The removal is still
+         tracked so the busy-interval accounting stays consistent. *)
+      Service_log.note_removal log ~at pkt.Packet.flow)
     ~finalize:(fun report ~until ->
       (* For one flow, completions arrive in finish order and (per-flow
          FIFO service) also in start order, so W_f(t1,t2) — packets with
@@ -447,20 +548,41 @@ let sfq_throughput ~flows ~lmax ~rate ~capacity () =
 (* ------------------------------------------------------------------ *)
 (* Wrapper                                                              *)
 
-(* A loop rather than [List.iter]: a [fun m -> observe m ev] argument
-   would be a closure allocated per event. *)
-let rec emit_all monitors ev =
+(* Loops rather than [List.iter]: a [fun m -> ...] argument would be a
+   closure allocated per event. *)
+let rec arrive_all monitors ~at pkt =
   match monitors with
   | [] -> ()
   | m :: rest ->
-    observe m ev;
-    emit_all rest ev
+    arrival m ~at pkt;
+    arrive_all rest ~at pkt
 
-let rec emit_closed monitors ~now = function
+let rec depart_all monitors ~start ~finish pkt =
+  match monitors with
+  | [] -> ()
+  | m :: rest ->
+    departure m ~start ~finish pkt;
+    depart_all rest ~start ~finish pkt
+
+let rec drop_all monitors ~at pkt reason =
+  match monitors with
+  | [] -> ()
+  | m :: rest ->
+    drop m ~at pkt reason;
+    drop_all rest ~at pkt reason
+
+let rec idle_all monitors ~at ~backlog =
+  match monitors with
+  | [] -> ()
+  | m :: rest ->
+    idle m ~at ~backlog;
+    idle_all rest ~at ~backlog
+
+let rec drop_closed monitors ~at = function
   | [] -> ()
   | p :: rest ->
-    emit_all monitors (Drop { at = now; pkt = p; reason = Closed });
-    emit_closed monitors ~now rest
+    drop_all monitors ~at p Closed;
+    drop_closed monitors ~at rest
 
 let drop_event monitors ~now ~reason pkt =
   let reason =
@@ -468,10 +590,9 @@ let drop_event monitors ~now ~reason pkt =
     | Buffered.Rejected -> Rejected
     | Buffered.Evicted -> Evicted
   in
-  emit_all monitors (Drop { at = now; pkt; reason })
+  drop_all monitors ~at:now pkt reason
 
 let wrap inner ~capacity ~monitors =
-  let emit ev = emit_all monitors ev in
   {
     Sched.name = inner.Sched.name ^ "+oracle";
     enqueue =
@@ -479,7 +600,7 @@ let wrap inner ~capacity ~monitors =
         (* Arrival first: a buffer policy below may drop (the arrival
            itself, or an evicted victim) during this very enqueue, and
            those Drop events must follow the Arrival they answer. *)
-        emit (Arrival { at = now; pkt });
+        arrive_all monitors ~at:now pkt;
         inner.Sched.enqueue ~now pkt);
     dequeue =
       (fun ~now ->
@@ -487,11 +608,11 @@ let wrap inner ~capacity ~monitors =
         | None ->
           (* probe the scheduler rather than keep a shadow count: drops
              inside a wrapped buffer layer would silently desync it *)
-          emit (Idle { at = now; backlog = inner.Sched.size () });
+          idle_all monitors ~at:now ~backlog:(inner.Sched.size ());
           None
         | Some pkt as got ->
           let finish = now +. (float_of_int pkt.Packet.len /. capacity ()) in
-          emit (Departure { start = now; finish; pkt });
+          depart_all monitors ~start:now ~finish pkt;
           got);
     peek = inner.Sched.peek;
     size = inner.Sched.size;
@@ -501,11 +622,11 @@ let wrap inner ~capacity ~monitors =
         match inner.Sched.evict ~now victim flow with
         | None -> None
         | Some p as got ->
-          emit (Drop { at = now; pkt = p; reason = Evicted });
+          drop_all monitors ~at:now p Evicted;
           got);
     close_flow =
       (fun ~now flow ->
         let flushed = inner.Sched.close_flow ~now flow in
-        emit_closed monitors ~now flushed;
+        drop_closed monitors ~at:now flushed;
         flushed);
   }

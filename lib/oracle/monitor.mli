@@ -9,6 +9,13 @@
     exercises every discipline and every deliberately-broken mutant
     under the same set of oracles.
 
+    Each monitor keeps one typed hook per event kind (arrival,
+    departure, drop, idle), built once when the monitor is made.
+    {!wrap} and {!drop_event} call the hooks directly and build no
+    {!event}, so observing a scheduler allocates nothing per event
+    beyond the boxed departure time; {!observe} dispatches an {!event}
+    to the same hooks.
+
     Which theorem each monitor encodes:
     - {!work_conserving}: the work-conservation premise of §1/§2 — a
       non-empty scheduler must hand over a packet when the server asks;
@@ -75,6 +82,15 @@ val pp_violation : Format.formatter -> violation -> unit
 val work_conserving : unit -> t
 
 val flow_fifo : unit -> t
+(** Per-flow FIFO service (§2.1): each departure must be its flow's
+    oldest pending packet, and each {!Drop} must name a pending packet
+    (at any position: drop-front, a rejected arrival, a flush). Its
+    state is sized by the flows with packets pending, not by every flow
+    ever seen: a flow holds a slot and a ring of pending seqs from its
+    first pending arrival until its last pending packet leaves, and the
+    freed slot and its ring serve the next flow. {!finalize} reports
+    the lowest flow id that still has packets pending.
+    @raise Invalid_argument on an {!Arrival} with a negative flow id. *)
 
 val conservation : size:(unit -> int) -> unit -> t
 (** The packet-conservation law: at every quiescent point (a
@@ -176,6 +192,8 @@ val wrap : Sched.t -> capacity:(unit -> float) -> monitors:t list -> Sched.t
     (before the inner enqueue, so a buffer policy's synchronous drop
     is seen after the arrival it rejects), [dequeue] emits
     {!Departure} (with [finish = now + len/capacity ()]) or {!Idle};
+    each event goes straight to the monitors' hooks, so the wrapper's
+    only allocation per dequeue is [finish]'s box;
     [capacity] is a thunk so server-rate fluctuation (§2.3) is
     reflected. [evict] emits {!Drop} with reason {!Evicted} and
     [close_flow] one {!Drop} with reason {!Closed} per flushed packet.

@@ -119,6 +119,228 @@ let test_sfq_throughput_trips () =
   check_bool "starved flow trips Theorem 2" true (tripped m)
 
 (* ------------------------------------------------------------------ *)
+(* flow_fifo against a list model of per-flow FIFO service              *)
+
+(* Each flow's pending seqs as a list, oldest first; the first
+   violation latched, and finalize naming the lowest flow id. *)
+type fifo_model = {
+  mutable pending : (Packet.flow * int list) list;
+  mutable first : Monitor.violation option;
+}
+
+let model_report mdl ~at what =
+  if mdl.first = None then mdl.first <- Some { Monitor.monitor = "flow_fifo"; at; what }
+
+let model_seqs mdl f = Option.value (List.assoc_opt f mdl.pending) ~default:[]
+let model_set mdl f l = mdl.pending <- (f, l) :: List.remove_assoc f mdl.pending
+
+let model_observe mdl (ev : Monitor.event) =
+  if mdl.first = None then
+    match ev with
+    | Arrival { pkt; _ } -> model_set mdl pkt.flow (model_seqs mdl pkt.flow @ [ pkt.seq ])
+    | Departure { finish; pkt; _ } -> (
+      match model_seqs mdl pkt.flow with
+      | [] ->
+        model_report mdl ~at:finish
+          (Printf.sprintf "flow %d: seq %d departed but never arrived" pkt.flow pkt.seq)
+      | s :: rest ->
+        model_set mdl pkt.flow rest;
+        if s <> pkt.seq then
+          model_report mdl ~at:finish
+            (Printf.sprintf "flow %d: expected seq %d to depart next, got %d" pkt.flow s
+               pkt.seq))
+    | Drop { at; pkt; reason } -> (
+      let rec take = function
+        | [] -> None
+        | s :: rest when s = pkt.seq -> Some rest
+        | s :: rest -> Option.map (fun r -> s :: r) (take rest)
+      in
+      match take (model_seqs mdl pkt.flow) with
+      | Some rest -> model_set mdl pkt.flow rest
+      | None ->
+        model_report mdl ~at
+          (Printf.sprintf "flow %d: %s seq %d was not pending" pkt.flow
+             (Monitor.drop_reason_name reason) pkt.seq))
+    | Idle _ -> ()
+
+let model_finalize mdl ~until =
+  if mdl.first = None then
+    match List.sort compare (List.filter (fun (_, l) -> l <> []) mdl.pending) with
+    | (f, l) :: _ ->
+      model_report mdl ~at:until
+        (Printf.sprintf "flow %d: %d packet(s) never departed" f (List.length l))
+    | [] -> ()
+
+(* One step of a random stream, over flow indices 0-3. [Depart (f, k)]
+   sends the k-th pending seq (mod the backlog) of the first flow from
+   [f] on with one pending: k = 0 is in order. [Drop_pending] picks the
+   same way; both become an idle poll when nothing is pending.
+   [Ghost_depart] and [Ghost_drop] name a seq that is not pending:
+   never sent, or (stale) the flow's first seq once it has left. Half
+   the streams have no reordering and no ghosts, so they run to the
+   end and finalize with flows still pending. *)
+type step =
+  | Arrive of int
+  | Depart of int * int
+  | Drop_pending of int * int * Monitor.drop_reason
+  | Poll
+  | Ghost_depart of int
+  | Ghost_drop of int * bool * Monitor.drop_reason
+
+let step_to_string = function
+  | Arrive f -> Printf.sprintf "Arrive %d" f
+  | Depart (f, k) -> Printf.sprintf "Depart (%d, %d)" f k
+  | Drop_pending (f, k, r) ->
+    Printf.sprintf "Drop_pending (%d, %d, %s)" f k (Monitor.drop_reason_name r)
+  | Poll -> "Poll"
+  | Ghost_depart f -> Printf.sprintf "Ghost_depart %d" f
+  | Ghost_drop (f, stale, r) ->
+    Printf.sprintf "Ghost_drop (%d, %b, %s)" f stale (Monitor.drop_reason_name r)
+
+let arb_stream =
+  let open QCheck.Gen in
+  let fi = int_bound 3 in
+  let reason = oneofl [ Monitor.Rejected; Monitor.Evicted; Monitor.Closed ] in
+  let step ~faults =
+    frequency
+      [
+        (10, map (fun f -> Arrive f) fi);
+        ( 9,
+          map2
+            (fun f k -> Depart (f, k))
+            fi
+            (frequency [ (20, return 0); (faults, int_range 1 3) ]) );
+        (3, map3 (fun f k r -> Drop_pending (f, k, r)) fi (int_bound 7) reason);
+        (2, return Poll);
+        (faults, map (fun f -> Ghost_depart f) fi);
+        (faults, map3 (fun f stale r -> Ghost_drop (f, stale, r)) fi bool reason);
+      ]
+  in
+  let gen =
+    int_range 1 4 >>= fun nflows ->
+    oneofl [ 0; 1 ] >>= fun faults ->
+    list_size (int_bound 300) (step ~faults) >|= fun steps -> (nflows, steps)
+  in
+  QCheck.make gen
+    ~print:(fun (nflows, steps) ->
+      Printf.sprintf "%d flows: [%s]" nflows
+        (String.concat "; " (List.map step_to_string steps)))
+    ~shrink:QCheck.Shrink.(pair nil (list ~shrink:nil))
+
+(* Sparse ids, so the slot map does not see its keys in slot order. *)
+let stream_flows = [| 9; 0; 1 lsl 20; 3 |]
+
+let prop_flow_fifo_matches_model =
+  QCheck.Test.make ~count:1000 ~name:"flow_fifo latches what a list model of FIFO latches"
+    arb_stream (fun (nflows, steps) ->
+      let m = Monitor.flow_fifo () in
+      let mdl = { pending = []; first = None } in
+      let next = Array.make nflows 1 in
+      let flow i = stream_flows.(i mod nflows) in
+      let backlogged i =
+        let rec go k =
+          if k = nflows then None
+          else
+            let j = (i + k) mod nflows in
+            match model_seqs mdl (flow j) with [] -> go (k + 1) | l -> Some (j, l)
+        in
+        go 0
+      in
+      let pkt i seq = p ~flow:(flow i) ~seq ~len:100 () in
+      let ghost i ~stale =
+        if stale && next.(i mod nflows) > 1 && not (List.mem 1 (model_seqs mdl (flow i)))
+        then 1
+        else 1_000_000 + next.(i mod nflows)
+      in
+      let event at = function
+        | Arrive i ->
+          let i = i mod nflows in
+          next.(i) <- next.(i) + 1;
+          Monitor.Arrival { at; pkt = pkt i (next.(i) - 1) }
+        | Depart (i, k) -> (
+          match backlogged i with
+          | None -> Monitor.Idle { at; backlog = 0 }
+          | Some (j, l) ->
+            let seq = List.nth l (k mod List.length l) in
+            Monitor.Departure { start = at; finish = at +. 0.5; pkt = pkt j seq })
+        | Drop_pending (i, k, reason) -> (
+          match backlogged i with
+          | None -> Monitor.Idle { at; backlog = 0 }
+          | Some (j, l) ->
+            Monitor.Drop { at; pkt = pkt j (List.nth l (k mod List.length l)); reason })
+        | Poll -> Monitor.Idle { at; backlog = 0 }
+        | Ghost_depart i ->
+          Monitor.Departure
+            { start = at; finish = at +. 0.5; pkt = pkt i (ghost i ~stale:false) }
+        | Ghost_drop (i, stale, reason) ->
+          Monitor.Drop { at; pkt = pkt i (ghost i ~stale); reason }
+      in
+      List.iteri
+        (fun n st ->
+          let ev = event (float_of_int n) st in
+          Monitor.observe m ev;
+          model_observe mdl ev;
+          if Monitor.result m <> mdl.first then
+            QCheck.Test.fail_reportf "after step %d (%s): monitor %s, model %s" n
+              (step_to_string st)
+              (Option.fold ~none:"none" ~some:(Format.asprintf "%a" Monitor.pp_violation)
+                 (Monitor.result m))
+              (Option.fold ~none:"none" ~some:(Format.asprintf "%a" Monitor.pp_violation)
+                 mdl.first))
+        steps;
+      let until = float_of_int (List.length steps) in
+      Monitor.finalize m ~until;
+      model_finalize mdl ~until;
+      Monitor.result m = mdl.first)
+
+(* A flow holds state at a hop only while it has packets pending there:
+   100k flows that each pass one packet leave the monitor as small as
+   one flow does. *)
+let test_flow_fifo_state_bounded () =
+  let m = Monitor.flow_fifo () in
+  for flow = 0 to 99_999 do
+    let pkt = p ~flow ~seq:1 ~len:100 () in
+    Monitor.observe m (Monitor.Arrival { at = 0.0; pkt });
+    Monitor.observe m (Monitor.Departure { start = 0.0; finish = 1.0; pkt })
+  done;
+  check_bool "no violation" false (tripped m);
+  let words = Obj.reachable_words (Obj.repr m) in
+  check_bool
+    (Printf.sprintf "%d words reachable after 100k flows (at most 256)" words)
+    true (words <= 256)
+
+(* Monitors cost a wrapped scheduler no allocation: a warm
+   enqueue/dequeue pair through [wrap] allocates only the scheduler's
+   [Some] and the boxed [finish], 4 words. *)
+let test_wrap_alloc () =
+  let inner =
+    Sfq_pifo.Pifo_sched.sched
+      (Sfq_pifo.Pifo_sched.create (Sfq_pifo.Programs.sfq (Weights.uniform 100.0)))
+  in
+  let monitors = [ Monitor.flow_fifo (); Monitor.conservation ~size:inner.Sched.size () ] in
+  let s = Monitor.wrap inner ~capacity:(fun () -> 1000.0) ~monitors in
+  let warm = 1_000 and n = 10_000 in
+  let pkts = Array.init (warm + n) (fun i -> p ~flow:(i land 7) ~seq:(i + 1) ~len:100 ()) in
+  let step pkt =
+    s.Sched.enqueue ~now:0.0 pkt;
+    ignore (s.Sched.dequeue ~now:0.0)
+  in
+  for i = 0 to warm - 1 do
+    step pkts.(i)
+  done;
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for i = warm to warm + n - 1 do
+    step pkts.(i)
+  done;
+  Gc.minor ();
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  List.iter (fun m -> check_bool (Monitor.name m ^ " silent") false (tripped m)) monitors;
+  check_bool
+    (Printf.sprintf "%.4f minor words per enqueue/dequeue pair (at most 4)" words)
+    true (words <= 4.0)
+
+(* ------------------------------------------------------------------ *)
 (* Acceptance sweeps                                                    *)
 
 let test_sfq_theorems () = assert_clean_sweep (Suite.sfq_cells ())
@@ -268,6 +490,10 @@ let () =
             test_tag_monotone_idle_reset_allowed;
           Alcotest.test_case "scfq_delay trips" `Quick test_scfq_delay_trips;
           Alcotest.test_case "sfq_throughput trips" `Quick test_sfq_throughput_trips;
+          q prop_flow_fifo_matches_model;
+          Alcotest.test_case "flow_fifo state bounded by pending flows" `Quick
+            test_flow_fifo_state_bounded;
+          Alcotest.test_case "wrap allocates nothing per event" `Quick test_wrap_alloc;
         ] );
       ( "sweeps",
         [
