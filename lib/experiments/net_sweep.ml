@@ -82,6 +82,7 @@ type outcome = {
   e2e_lost : int;
   min_slack : float;
   violations : Monitor.violation list;
+  events : int;
 }
 
 (* FNV-1a over the little-endian bytes of each mixed word: an order-
@@ -387,6 +388,7 @@ let run_raw ?mk_link ?(tap = fun (_ : Packet.t) ~at:(_ : float) -> ()) (s : scen
     e2e_lost = (match oracle with Some o -> E2e.lost o | None -> 0);
     min_slack = (match oracle with Some o -> E2e.min_slack o | None -> infinity);
     violations;
+    events = Sim.events_fired sim;
   }
 
 let run_scenario s = run_raw s

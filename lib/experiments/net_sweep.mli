@@ -100,6 +100,7 @@ type outcome = {
   e2e_lost : int;
   min_slack : float;
   violations : Monitor.violation list;
+  events : int;  (** simulator events fired; not in {!outcome_digest} *)
 }
 
 val run_scenario : scenario -> outcome

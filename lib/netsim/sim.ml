@@ -9,8 +9,10 @@ type metrics = {
 type t = {
   (* key = firing time, uid = scheduling order: equal-time events fire
      in scheduling order, and the monomorphic heap spares the netsim
-     loop a closure call per comparison. *)
-  queue : (unit -> unit) Fheap.t;
+     loop a closure call per comparison. The payload is the callback's
+     handle in [callbacks], so a sift moves no pointer. *)
+  queue : Fheap.t;
+  callbacks : (unit -> unit) Slab.t;
   (* [clock.(0)] is the current time, unboxed, so a pop advances it
      without allocating; [now] boxes it at most once per instant, into
      [boxed]. [next.(0)] is scratch for [run]'s horizon test. *)
@@ -26,6 +28,7 @@ type t = {
 let create () =
   {
     queue = Fheap.create ~capacity:64 ();
+    callbacks = Slab.create ();
     clock = [| 0.0 |];
     next = [| 0.0 |];
     boxed = 0.0;
@@ -45,7 +48,7 @@ let now t =
 let schedule t ~at fn =
   if at < t.clock.(0) then
     invalid_arg (Printf.sprintf "Sim.schedule: at=%g is before now=%g" at t.clock.(0));
-  Fheap.add t.queue ~key:at ~tie:0.0 ~uid:t.next_seq fn;
+  Fheap.add t.queue ~key:at ~tie:0.0 ~uid:t.next_seq (Slab.put t.callbacks fn);
   t.next_seq <- t.next_seq + 1
 
 let schedule_after t ~delay fn =
@@ -54,11 +57,12 @@ let schedule_after t ~delay fn =
 
 (* Pop the earliest event (the queue is not empty) and fire it. Reading
    the root through [min_key_into]/[min_elt_exn]/[remove_root] builds
-   no [Some (key, fn)] and boxes no float. *)
+   no [Some (key, fn)] and boxes no float. [Slab.take] clears the
+   callback's slot, so a fired callback is not kept alive. *)
 let pop_fire t =
   Fheap.min_key_into t.queue t.clock;
   t.boxed_valid <- false;
-  let fn = Fheap.min_elt_exn t.queue in
+  let fn = Slab.take t.callbacks (Fheap.min_elt_exn t.queue) in
   Fheap.remove_root t.queue;
   t.fired <- t.fired + 1;
   (match t.metrics with

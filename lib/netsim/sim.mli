@@ -7,7 +7,10 @@
 
     Firing an event allocates nothing: the queue is read through
     {!Sfq_util.Fheap}'s non-allocating root accessors and the clock is
-    held unboxed. {!now} boxes the clock at most once per instant. *)
+    held unboxed. {!now} boxes the clock at most once per instant. The
+    heap orders int handles; the callbacks themselves sit in a
+    {!Sfq_util.Slab}, written when scheduled and cleared when fired,
+    so a sift moves no pointer and a fired callback is garbage. *)
 
 type t
 

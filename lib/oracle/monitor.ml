@@ -25,13 +25,15 @@ type report = at:float -> string -> unit
    without building an [event] per call. Hooks take the monitor's
    [report] as an argument: binding it by partial application would
    cost a curry closure per hook and an extra indirect call per
-   event. *)
+   event. The departure hook reads the service interval from a float
+   array, [times.(0)] the start and [times.(1)] the finish: a float
+   passed to a closure is boxed, an array slot is not. *)
 type t = {
   name : string;
   first : violation option ref;
   report : report;
   arrival : report -> at:float -> Packet.t -> unit;
-  departure : report -> start:float -> finish:float -> Packet.t -> unit;
+  departure : report -> float array -> Packet.t -> unit;
   drop : report -> at:float -> Packet.t -> drop_reason -> unit;
   idle : report -> at:float -> backlog:int -> unit;
   finalize_f : report -> until:float -> unit;
@@ -45,8 +47,8 @@ let result t = !(t.first)
 let arrival t ~at pkt =
   match !(t.first) with None -> t.arrival t.report ~at pkt | Some _ -> ()
 
-let departure t ~start ~finish pkt =
-  match !(t.first) with None -> t.departure t.report ~start ~finish pkt | Some _ -> ()
+let departure t times pkt =
+  match !(t.first) with None -> t.departure t.report times pkt | Some _ -> ()
 
 let drop t ~at pkt reason =
   match !(t.first) with None -> t.drop t.report ~at pkt reason | Some _ -> ()
@@ -56,7 +58,7 @@ let idle t ~at ~backlog =
 
 let observe t = function
   | Arrival { at; pkt } -> arrival t ~at pkt
-  | Departure { start; finish; pkt } -> departure t ~start ~finish pkt
+  | Departure { start; finish; pkt } -> departure t [| start; finish |] pkt
   | Drop { at; pkt; reason } -> drop t ~at pkt reason
   | Idle { at; backlog } -> idle t ~at ~backlog
 
@@ -72,7 +74,7 @@ let slack b = 1e-9 *. Float.max 1.0 (Float.abs b)
 
 (* A missing hook ignores its events. *)
 let make ~name ?(arrival = fun _ ~at:_ _ -> ())
-    ?(departure = fun _ ~start:_ ~finish:_ _ -> ()) ?(drop = fun _ ~at:_ _ _ -> ())
+    ?(departure = fun _ _ _ -> ()) ?(drop = fun _ ~at:_ _ _ -> ())
     ?(idle = fun _ ~at:_ ~backlog:_ -> ()) ?(finalize = fun _ ~until:_ -> ()) () =
   let first = ref None in
   let report ~at what =
@@ -87,9 +89,9 @@ let work_conserving () =
   let outstanding = ref 0 in
   make ~name:"work_conserving"
     ~arrival:(fun _ ~at:_ _ -> incr outstanding)
-    ~departure:(fun report ~start:_ ~finish _ ->
+    ~departure:(fun report times _ ->
       decr outstanding;
-      if !outstanding < 0 then report ~at:finish "more departures than arrivals")
+      if !outstanding < 0 then report ~at:times.(1) "more departures than arrivals")
     ~drop:(fun report ~at _ _ ->
       decr outstanding;
       if !outstanding < 0 then report ~at "more removals than arrivals")
@@ -108,7 +110,8 @@ let work_conserving () =
    bookkeeping bug. *)
 let conservation ~size () =
   let arrived = ref 0 and departed = ref 0 and dropped = ref 0 in
-  let check report ~at =
+  (* inlined, so a departure boxes its finish time only to report *)
+  let[@inline] check report ~at =
     let backlog = size () in
     if !arrived - !departed - !dropped <> backlog then
       report ~at
@@ -119,9 +122,9 @@ let conservation ~size () =
   in
   make ~name:"conservation"
     ~arrival:(fun _ ~at:_ _ -> incr arrived)
-    ~departure:(fun report ~start:_ ~finish _ ->
+    ~departure:(fun report times _ ->
       incr departed;
-      check report ~at:finish)
+      check report ~at:times.(1))
     ~drop:(fun _ ~at:_ _ _ -> incr dropped)
     ~idle:(fun report ~at ~backlog:_ -> check report ~at)
     ~finalize:(fun report ~until -> check report ~at:until)
@@ -236,14 +239,14 @@ let flow_fifo () =
   in
   make ~name:"flow_fifo"
     ~arrival:(fun _ ~at:_ pkt -> push q pkt.Packet.flow pkt.Packet.seq)
-    ~departure:(fun report ~start:_ ~finish pkt ->
+    ~departure:(fun report times pkt ->
       let seq = pop q pkt.Packet.flow in
       if seq < 0 then
-        report ~at:finish
+        report ~at:times.(1)
           (Printf.sprintf "flow %d: seq %d departed but never arrived" pkt.Packet.flow
              pkt.Packet.seq)
       else if seq <> pkt.Packet.seq then
-        report ~at:finish
+        report ~at:times.(1)
           (Printf.sprintf "flow %d: expected seq %d to depart next, got %d"
              pkt.Packet.flow seq pkt.Packet.seq))
     ~drop:(fun report ~at pkt reason ->
@@ -270,7 +273,8 @@ let flow_fifo () =
 
 let tag_monotone ~name ?(allow_idle_reset = true) ~vtime () =
   let prev = ref neg_infinity in
-  let check report ~at =
+  (* inlined, so a departure boxes its finish time only to report *)
+  let[@inline] check report ~at =
     let v = vtime () in
     if v < !prev -. slack !prev then
       report ~at (Printf.sprintf "virtual time went backwards: %g -> %g" !prev v)
@@ -278,7 +282,7 @@ let tag_monotone ~name ?(allow_idle_reset = true) ~vtime () =
   in
   make ~name
     ~arrival:(fun report ~at _ -> check report ~at)
-    ~departure:(fun report ~start:_ ~finish _ -> check report ~at:finish)
+    ~departure:(fun report times _ -> check report ~at:times.(1))
     ~drop:(fun report ~at _ _ -> check report ~at)
     ~idle:(fun report ~at ~backlog:_ ->
       if allow_idle_reset then prev := vtime () else check report ~at)
@@ -296,9 +300,9 @@ let fairness ?(name = "fairness") ?(bound = Bounds.h_sfq) ~rate () =
       let l = float_of_int pkt.Packet.len in
       let cur = Option.value (Hashtbl.find_opt lmax pkt.Packet.flow) ~default:0.0 in
       if l > cur then Hashtbl.replace lmax pkt.Packet.flow l)
-    ~departure:(fun _ ~start ~finish pkt ->
-      Service_log.note_completion log ~flow:pkt.Packet.flow ~start ~finish
-        ~len:pkt.Packet.len)
+    ~departure:(fun _ times pkt ->
+      Service_log.note_completion log ~flow:pkt.Packet.flow ~start:times.(0)
+        ~finish:times.(1) ~len:pkt.Packet.len)
     ~drop:(fun _ ~at pkt _ ->
       (* restricts the guarantee to service actually rendered: the
          dropped packet stops counting as backlog, and W_f never sees
@@ -363,9 +367,9 @@ let fairness_measured ?(name = "fairness_budget") ?(bound = Bounds.h_sfq) ~rate 
         let l = float_of_int pkt.Packet.len in
         let cur = Option.value (Hashtbl.find_opt lmax pkt.Packet.flow) ~default:0.0 in
         if l > cur then Hashtbl.replace lmax pkt.Packet.flow l)
-      ~departure:(fun _ ~start ~finish pkt ->
-        Service_log.note_completion log ~flow:pkt.Packet.flow ~start ~finish
-          ~len:pkt.Packet.len)
+      ~departure:(fun _ times pkt ->
+        Service_log.note_completion log ~flow:pkt.Packet.flow ~start:times.(0)
+          ~finish:times.(1) ~len:pkt.Packet.len)
       ~drop:(fun _ ~at pkt _ -> Service_log.note_removal log ~at pkt.Packet.flow)
       ~finalize:(fun _report ~until ->
         let flows = List.sort compare (Service_log.flows log) in
@@ -420,12 +424,13 @@ let delay_monitor ~name ~flows ~lmax ~eat_rate ~bound () =
           Eat.on_arrival eat ~now:at ~flow:pkt.Packet.flow ~len:pkt.Packet.len ~rate:r
         in
         Hashtbl.replace eats (pkt.Packet.flow, pkt.Packet.seq) e)
-    ~departure:(fun report ~start:_ ~finish pkt ->
+    ~departure:(fun report times pkt ->
       match Hashtbl.find_opt eats (pkt.Packet.flow, pkt.Packet.seq) with
       | None -> ()
       | Some e ->
         let sum_other = sum_all -. lmax pkt.Packet.flow in
         let b = bound ~eat:e ~sum_other_lmax:sum_other ~pkt in
+        let finish = times.(1) in
         if finish > b +. slack b then
           report ~at:finish
             (Printf.sprintf "flow %d seq %d: departed at %g, bound %g (EAT %g)"
@@ -461,9 +466,9 @@ let sfq_throughput ~flows ~lmax ~rate ~capacity () =
   let sum_lmax = List.fold_left (fun acc f -> acc +. lmax f) 0.0 flows in
   make ~name:"sfq_throughput"
     ~arrival:(fun _ ~at pkt -> Service_log.note_arrival log ~at pkt.Packet.flow)
-    ~departure:(fun _ ~start ~finish pkt ->
-      Service_log.note_completion log ~flow:pkt.Packet.flow ~start ~finish
-        ~len:pkt.Packet.len)
+    ~departure:(fun _ times pkt ->
+      Service_log.note_completion log ~flow:pkt.Packet.flow ~start:times.(0)
+        ~finish:times.(1) ~len:pkt.Packet.len)
     ~drop:(fun _ ~at pkt _ ->
       (* Theorem 2 presumes the backlog is eventually served; attach
          this monitor only to loss-free runs. The removal is still
@@ -557,12 +562,12 @@ let rec arrive_all monitors ~at pkt =
     arrival m ~at pkt;
     arrive_all rest ~at pkt
 
-let rec depart_all monitors ~start ~finish pkt =
+let rec depart_all monitors times pkt =
   match monitors with
   | [] -> ()
   | m :: rest ->
-    departure m ~start ~finish pkt;
-    depart_all rest ~start ~finish pkt
+    departure m times pkt;
+    depart_all rest times pkt
 
 let rec drop_all monitors ~at pkt reason =
   match monitors with
@@ -593,6 +598,8 @@ let drop_event monitors ~now ~reason pkt =
   drop_all monitors ~at:now pkt reason
 
 let wrap inner ~capacity ~monitors =
+  (* the departure times handed to the hooks, rewritten per dequeue *)
+  let times = [| 0.0; 0.0 |] in
   {
     Sched.name = inner.Sched.name ^ "+oracle";
     enqueue =
@@ -611,8 +618,9 @@ let wrap inner ~capacity ~monitors =
           idle_all monitors ~at:now ~backlog:(inner.Sched.size ());
           None
         | Some pkt as got ->
-          let finish = now +. (float_of_int pkt.Packet.len /. capacity ()) in
-          depart_all monitors ~start:now ~finish pkt;
+          times.(0) <- now;
+          times.(1) <- now +. (float_of_int pkt.Packet.len /. capacity ());
+          depart_all monitors times pkt;
           got);
     peek = inner.Sched.peek;
     size = inner.Sched.size;

@@ -12,9 +12,10 @@
     Each monitor keeps one typed hook per event kind (arrival,
     departure, drop, idle), built once when the monitor is made.
     {!wrap} and {!drop_event} call the hooks directly and build no
-    {!event}, so observing a scheduler allocates nothing per event
-    beyond the boxed departure time; {!observe} dispatches an {!event}
-    to the same hooks.
+    {!event}; the departure hook reads the start and finish times from
+    a float array the wrapper owns, so no time is boxed either, and
+    observing a scheduler allocates nothing per event. {!observe}
+    dispatches an {!event} to the same hooks.
 
     Which theorem each monitor encodes:
     - {!work_conserving}: the work-conservation premise of §1/§2 — a
@@ -192,8 +193,8 @@ val wrap : Sched.t -> capacity:(unit -> float) -> monitors:t list -> Sched.t
     (before the inner enqueue, so a buffer policy's synchronous drop
     is seen after the arrival it rejects), [dequeue] emits
     {!Departure} (with [finish = now + len/capacity ()]) or {!Idle};
-    each event goes straight to the monitors' hooks, so the wrapper's
-    only allocation per dequeue is [finish]'s box;
+    each event goes straight to the monitors' hooks, so the wrapper
+    allocates nothing per event;
     [capacity] is a thunk so server-rate fluctuation (§2.3) is
     reflected. [evict] emits {!Drop} with reason {!Evicted} and
     [close_flow] one {!Drop} with reason {!Closed} per flushed packet.

@@ -79,9 +79,11 @@ let pifo_sched mode weights =
 
 (* An SFQ clone small enough to break on purpose: a single Fheap over
    every queued packet (no per-flow rings — Flow_heap's FIFO structure
-   would make the Lifo mutant unrepresentable). *)
+   would make the Lifo mutant unrepresentable). The heap's payload is
+   the entry's handle in [entries]. *)
 let float_sched mode weights =
-  let heap : (float * Packet.t) Fheap.t = Fheap.create () in
+  let heap = Fheap.create () in
+  let entries : (float * Packet.t) Slab.t = Slab.create () in
   let finish : (Packet.flow, float) Hashtbl.t = Hashtbl.create 16 in
   let counts : (Packet.flow, int) Hashtbl.t = Hashtbl.create 16 in
   let v = ref 0.0 in
@@ -106,13 +108,13 @@ let float_sched mode weights =
       | Lifo -> (0.0, - !uid)
       | _ -> (stag, !uid)
     in
-    Fheap.add heap ~key ~tie:0.0 ~uid:u (stag, pkt)
+    Fheap.add heap ~key ~tie:0.0 ~uid:u (Slab.put entries (stag, pkt))
   in
   let dequeue ~now:_ =
     incr polls;
     if mode = Lazy_idle && !polls mod 3 = 0 then None
     else
-      match Fheap.pop heap with
+      match Fheap.pop_elt heap with
       | None ->
         (* busy period over: restart the clock like the real thing *)
         if mode <> Stale_vtime then begin
@@ -120,19 +122,21 @@ let float_sched mode weights =
           Hashtbl.reset finish
         end;
         None
-      | Some (_key, (stag, pkt)) ->
+      | Some h ->
+        let stag, pkt = Slab.take entries h in
         if mode <> Stale_vtime then v := Float.max !v stag;
         bump pkt.Packet.flow (-1);
         Some pkt
   in
-  let of_flow flow (_, p) = p.Packet.flow = flow in
+  let of_flow flow h = (snd (Slab.get entries h)).Packet.flow = flow in
   (* The oldest still-queued packet of any OTHER flow — the scapegoat
      the Wrong_queue_drop mutant blames for an eviction it performed on
      its own queue. Deterministic min over (stag, seq, flow), not heap
      layout, so parallel digests stay byte-identical. *)
   let scapegoat flow =
     let best = ref None in
-    Fheap.iter heap ~f:(fun _ (stag, p) ->
+    Fheap.iter heap ~f:(fun _ h ->
+        let stag, p = Slab.get entries h in
         if p.Packet.flow <> flow then
           let better =
             match !best with
@@ -148,7 +152,8 @@ let float_sched mode weights =
     let newest = match victim with Sched.Newest -> true | Sched.Oldest -> false in
     match Fheap.remove_matching ~newest heap ~pred:(of_flow flow) with
     | None -> None
-    | Some (_, (_, pkt)) ->
+    | Some (_, h) ->
+      let _, pkt = Slab.take entries h in
       bump flow (-1);
       (match mode with
       | Wrong_queue_drop -> (
@@ -162,9 +167,9 @@ let float_sched mode weights =
     let rec drain acc =
       match Fheap.remove_matching heap ~pred:(of_flow flow) with
       | None -> List.rev acc
-      | Some (_, (_, pkt)) ->
+      | Some (_, h) ->
         bump flow (-1);
-        drain (pkt :: acc)
+        drain (snd (Slab.take entries h) :: acc)
     in
     let flushed = drain [] in
     (* the bug: Stale_reopen keeps the closed flow's finish tag, so a
@@ -179,7 +184,7 @@ let float_sched mode weights =
       dequeue;
       evict;
       close_flow;
-      peek = (fun () -> Option.map (fun (_, p) -> p) (Fheap.min_elt heap));
+      peek = (fun () -> Option.map (fun h -> snd (Slab.get entries h)) (Fheap.min_elt heap));
       size = (fun () -> Fheap.length heap);
       backlog =
         (fun flow -> Option.value (Hashtbl.find_opt counts flow) ~default:0);

@@ -23,7 +23,10 @@ type t = {
   slots : Slot_map.t;
   main : Packet.t Iflow_heap.t;  (* unshaped service stage, keyed by slot *)
   shaper : Packet.t Iflow_heap.t;  (* shaped: eligibility stage, keyed by slot *)
-  eligible : Packet.t Iheap.t;  (* shaped: service stage *)
+  eligible : Iheap.t;  (* shaped: service stage; payload = handle in [store] *)
+  (* The service stage's packets. Only shaped programs have one: a
+     store in every unshaped link would cost each link a record. *)
+  store : Packet.t Slab.t option;
   mutable counts : int array;  (* shaped per-slot backlog *)
   (* Per-slot encoded tie cache, filled on first use and reset by
      close_flow: the tie is snapshotted at activation, like the
@@ -79,6 +82,10 @@ let bump t slot d =
   if slot >= Array.length t.counts then grow_counts t slot;
   t.counts.(slot) <- t.counts.(slot) + d
 
+(* Only the shaped paths below call this, and shaped programs have a
+   store. *)
+let store t = match t.store with Some s -> s | None -> assert false
+
 let size t =
   if t.shaped then Iflow_heap.size t.shaper + Iheap.length t.eligible
   else Iflow_heap.size t.main
@@ -109,6 +116,7 @@ let create ?(tie = Tag_queue.Arrival) ?capacity prog =
       main = Iflow_heap.create ?capacity ();
       shaper = Iflow_heap.create ?capacity ();
       eligible = Iheap.create ();
+      store = (if prog.Rank_program.shaped then Some (Slab.create ()) else None);
       counts = [||];
       ties = [||];
       tie_ok = [||];
@@ -156,7 +164,7 @@ let promote t ~now =
         ~key:(Iflow_heap.last_aux t.shaper)
         ~tie:(cached_tie t (Iflow_heap.last_flow t.shaper))
         ~uid:(Iflow_heap.last_uid t.shaper)
-        pkt;
+        (Slab.put (store t) pkt);
       go ()
     | Some _ | None -> ()
   in
@@ -166,7 +174,7 @@ let dequeue_shaped t ~now =
   promote t ~now;
   if Iheap.length t.eligible > 0 then begin
     let key = Iheap.min_key_exn t.eligible in
-    let pkt = Iheap.min_elt_exn t.eligible in
+    let pkt = Slab.take (store t) (Iheap.min_elt_exn t.eligible) in
     Iheap.remove_root t.eligible;
     bump t (Slot_map.find t.slots pkt.Packet.flow) (-1);
     t.on_dequeue ~key ~aux:0
@@ -220,7 +228,7 @@ let peek t =
   if t.shaped then begin
     promote t ~now:t.last_now;
     match Iheap.min_elt t.eligible with
-    | Some pkt -> Some pkt
+    | Some h -> Some (Slab.get (store t) h)
     | None -> (
       match Iflow_heap.peek t.shaper with
       | Some e -> Some e.Iflow_heap.value
@@ -240,12 +248,13 @@ let evict t victim flow =
   let slot = Slot_map.find t.slots flow in
   if slot < 0 then None
   else if t.shaped then begin
-    let pred p = p.Packet.flow = flow in
+    let store = store t in
+    let pred h = (Slab.get store h).Packet.flow = flow in
     let found =
       match (victim : Sched.victim) with
       | Sched.Oldest -> (
         match Iheap.remove_matching t.eligible ~pred with
-        | Some (_, p) -> Some p
+        | Some (_, h) -> Some (Slab.take store h)
         | None -> (
           match Iflow_heap.evict_front t.shaper slot with
           | Some e -> Some e.Iflow_heap.value
@@ -255,7 +264,7 @@ let evict t victim flow =
         | Some e -> Some e.Iflow_heap.value
         | None -> (
           match Iheap.remove_matching ~newest:true t.eligible ~pred with
-          | Some (_, p) -> Some p
+          | Some (_, h) -> Some (Slab.take store h)
           | None -> None))
     in
     (match found with Some _ -> bump t slot (-1) | None -> ());
@@ -277,10 +286,11 @@ let close_flow t ~now flow =
   let flushed =
     if slot < 0 then []
     else if t.shaped then begin
-      let pred p = p.Packet.flow = flow in
+      let store = store t in
+      let pred h = (Slab.get store h).Packet.flow = flow in
       let rec drain acc =
         match Iheap.remove_matching t.eligible ~pred with
-        | Some (_, p) -> drain (p :: acc)
+        | Some (_, h) -> drain (Slab.take store h :: acc)
         | None -> List.rev acc
       in
       (* remove_matching takes ascending uid, so promoted entries come

@@ -17,8 +17,9 @@ and internal = {
      float hierarchy's (stag, seq) scan. The children list keeps every
      edge reachable for the traversal paths (backlog, evict, close —
      closing must reset inner per-flow state even in a currently-empty
-     leaf). *)
-  pifo : edge Iheap.t;
+     leaf). The heap's payload is the edge's handle in [edges]. *)
+  pifo : Iheap.t;
+  edges : edge Slab.t;
   mutable children : edge list;
   mutable v : int;
   mutable max_finish_served : int;
@@ -50,7 +51,14 @@ let next_id = ref 0
 
 let fresh_internal () =
   Internal
-    { pifo = Iheap.create (); children = []; v = 0; max_finish_served = 0; next_seq = 0 }
+    {
+      pifo = Iheap.create ();
+      edges = Slab.create ();
+      children = [];
+      v = 0;
+      max_finish_served = 0;
+      next_seq = 0;
+    }
 
 let create ?frac_bits () =
   incr next_id;
@@ -106,7 +114,9 @@ let rec node_peek node =
   match node.kind with
   | Leaf inner -> inner.Sched.peek ()
   | Internal i -> (
-    match Iheap.min_elt i.pifo with None -> None | Some e -> node_peek e.child)
+    match Iheap.min_elt i.pifo with
+    | None -> None
+    | Some h -> node_peek (Slab.get i.edges h).child)
 
 let subtree_nonempty node =
   match node.kind with
@@ -126,7 +136,7 @@ let rec activate_upwards node =
       e.seq <- i.next_seq;
       i.next_seq <- i.next_seq + 1;
       e.active <- true;
-      Iheap.add i.pifo ~key:e.stag ~tie:0 ~uid:e.seq e;
+      Iheap.add i.pifo ~key:e.stag ~tie:0 ~uid:e.seq (Slab.put i.edges e);
       activate_upwards e.parent
     end
 
@@ -155,7 +165,8 @@ let rec node_dequeue node ~now =
   | Internal i -> (
     match Iheap.min_elt i.pifo with
     | None -> None
-    | Some e -> (
+    | Some h -> (
+      let e = Slab.take i.edges h in
       Iheap.remove_root i.pifo;
       match node_peek e.child with
       | None -> assert false (* active edge over an empty subtree *)
@@ -171,7 +182,7 @@ let rec node_dequeue node ~now =
           e.stag <- ftag;
           e.seq <- i.next_seq;
           i.next_seq <- i.next_seq + 1;
-          Iheap.add i.pifo ~key:e.stag ~tie:0 ~uid:e.seq e
+          Iheap.add i.pifo ~key:e.stag ~tie:0 ~uid:e.seq (Slab.put i.edges e)
         end
         else e.active <- false;
         (* v stays frozen at the emission's start tag when the subtree
@@ -220,7 +231,9 @@ let rec deactivate_upwards node =
     if e.active && not (subtree_nonempty node) then begin
       e.active <- false;
       let i = internal_of e.parent in
-      ignore (Iheap.remove_matching i.pifo ~pred:(fun e' -> e' == e));
+      (match Iheap.remove_matching i.pifo ~pred:(fun h -> Slab.get i.edges h == e) with
+      | Some (_, h) -> ignore (Slab.take i.edges h)
+      | None -> ());
       deactivate_upwards e.parent
     end
 

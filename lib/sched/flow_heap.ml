@@ -99,7 +99,7 @@ let give p r =
 type 'a popped = { key : float; aux : float; uid : int; flow : Packet.flow; value : 'a }
 
 type 'a t = {
-  heap : Packet.flow Fheap.t;  (* one entry per backlogged flow: its head *)
+  heap : Fheap.t;  (* one entry per backlogged flow: its head; payload = flow *)
   rings : 'a ring Flow_table.t;  (* backlogged flows, and idle grown rings *)
   pool : 'a pool;
   (* [| first value ever pushed |], or [||] before that. OCaml has no
@@ -160,9 +160,9 @@ let release t flow r =
 let drained t flow r = if Array.length r.rdata = ring_min then release t flow r
 
 let pop t =
-  match Fheap.pop t.heap with
-  | None -> None
-  | Some (_, flow) ->
+  if Fheap.is_empty t.heap then None
+  else begin
+    let flow = Fheap.min_elt_exn t.heap in
     let r = Flow_table.find t.rings flow in
     let i = r.head in
     let key = r.rkeys.(i) and aux = r.raux.(i) and uid = r.ruids.(i) and v = r.rdata.(i) in
@@ -170,13 +170,18 @@ let pop t =
     r.head <- (i + 1) land (Array.length r.rdata - 1);
     r.len <- r.len - 1;
     t.total <- t.total - 1;
-    (* Promote the successor: it becomes the flow's representative. *)
+    (* Promote the successor: it becomes the flow's representative, in
+       the popped head's place and in one sift (uids are unique). *)
     if r.len > 0 then begin
       let j = r.head in
-      Fheap.add t.heap ~key:r.rkeys.(j) ~tie:r.rties.(j) ~uid:r.ruids.(j) flow
+      Fheap.replace_root t.heap ~key:r.rkeys.(j) ~tie:r.rties.(j) ~uid:r.ruids.(j) flow
     end
-    else drained t flow r;
+    else begin
+      Fheap.remove_root t.heap;
+      drained t flow r
+    end;
     Some { key; aux; uid; flow; value = v }
+  end
 
 let peek t =
   match Fheap.min t.heap with

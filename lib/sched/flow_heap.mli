@@ -7,7 +7,9 @@
     always carried by the {e head} packet of some flow. Exploiting
     that, this container keeps one FIFO ring per flow and enters only
     each flow's head in a {!Sfq_util.Fheap}; a dequeue pops the heap
-    and promotes the flow's successor. Heap operations therefore cost
+    and promotes the flow's successor into the popped head's place,
+    one sift down ({!Sfq_util.Fheap.replace_root}), or removes the
+    head if the flow drained. Heap operations therefore cost
     O(log F) in the number of {e backlogged flows} — flat in the number
     of queued packets — while pushes into a backlogged flow are O(1)
     ring appends. Pop order is exactly ascending [(key, tie, uid)]

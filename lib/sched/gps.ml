@@ -14,7 +14,7 @@ type t = {
      the explicit finish-then-flow order) = flow. Entries go stale when
      a flow receives more packets (its departure moves later); stale
      entries are detected on pop by comparing against [finish]. *)
-  departures : Packet.flow Fheap.t;
+  departures : Fheap.t;
 }
 
 let create ~capacity ?(real_system_empty = fun () -> true) weights =

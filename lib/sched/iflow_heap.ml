@@ -102,7 +102,7 @@ let give p r =
 type 'a popped = { key : int; aux : int; uid : int; flow : Packet.flow; value : 'a }
 
 type 'a t = {
-  heap : Packet.flow Iheap.t;  (* one entry per backlogged flow: its head *)
+  heap : Iheap.t;  (* one entry per backlogged flow: its head; payload = flow *)
   rings : 'a ring Flow_table.t;  (* backlogged flows, and idle grown rings *)
   pool : 'a pool;
   (* [| first value ever pushed |], or [||] before that. OCaml has no
@@ -179,7 +179,6 @@ let drained t flow r = if Array.length r.rdata = ring_min then release t flow r
 
 let pop_exn t =
   let flow = Iheap.min_elt_exn t.heap in
-  Iheap.remove_root t.heap;
   let r = Flow_table.find t.rings flow in
   let i = r.head in
   t.last_key <- r.rkeys.(i);
@@ -191,12 +190,16 @@ let pop_exn t =
   r.head <- (i + 1) land (Array.length r.rdata - 1);
   r.len <- r.len - 1;
   t.total <- t.total - 1;
-  (* Promote the successor: it becomes the flow's representative. *)
+  (* Promote the successor: it becomes the flow's representative, in
+     the popped head's place and in one sift (uids are unique). *)
   if r.len > 0 then begin
     let j = r.head in
-    Iheap.add t.heap ~key:r.rkeys.(j) ~tie:r.rties.(j) ~uid:r.ruids.(j) flow
+    Iheap.replace_root t.heap ~key:r.rkeys.(j) ~tie:r.rties.(j) ~uid:r.ruids.(j) flow
   end
-  else drained t flow r;
+  else begin
+    Iheap.remove_root t.heap;
+    drained t flow r
+  end;
   v
 
 let last_key t = t.last_key

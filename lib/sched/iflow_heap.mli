@@ -1,7 +1,8 @@
 (** Int-keyed sibling of {!Flow_heap} for the int-rank PIFO runtime.
 
     Same structure — one FIFO ring per flow, heads-only min-heap, O(log
-    F) pops flat in queued packets — but every ordering field is an int
+    F) pops flat in queued packets, one sift per pop of a flow that
+    stays backlogged — but every ordering field is an int
     (a {!Sfq_pifo.Tag} scaled virtual time, an order-preserving int
     encoding of the tie value, and the push-order uid), and the hot
     dequeue path is allocation-free: {!pop_exn} returns the payload

@@ -11,7 +11,8 @@ open Sfq_base
 type t = {
   gps : Gps.t;
   pending : Packet.t Flow_heap.t;  (* key = start tag, aux = finish tag *)
-  eligible : Packet.t Fheap.t;  (* key = finish tag *)
+  eligible : Fheap.t;  (* key = finish tag, payload = handle in [released] *)
+  released : Packet.t Slab.t;
   counts : int Flow_table.t;
   tie : Tag_queue.tie;
   mutable last_now : float;
@@ -31,6 +32,7 @@ let create ~capacity ?(tie = Tag_queue.Arrival) weights =
     gps = Gps.create ~capacity ~real_system_empty weights;
     pending;
     eligible;
+    released = Slab.create ();
     counts = Flow_table.create ~default:(fun _ -> 0);
     tie;
     last_now = 0.0;
@@ -54,7 +56,8 @@ let promote t ~now =
       let e = Option.get (Flow_heap.pop t.pending) in
       Fheap.add t.eligible ~key:e.Flow_heap.aux
         ~tie:(tie_value t.tie e.Flow_heap.flow)
-        ~uid:e.Flow_heap.uid e.Flow_heap.value;
+        ~uid:e.Flow_heap.uid
+        (Slab.put t.released e.Flow_heap.value);
       go ()
     | Some _ | None -> ()
   in
@@ -68,7 +71,7 @@ let dequeue t ~now =
   t.last_now <- Float.max t.last_now now;
   promote t ~now;
   match Fheap.pop_elt t.eligible with
-  | Some pkt -> take t pkt
+  | Some h -> take t (Slab.take t.released h)
   | None -> begin
     (* Work conservation: nothing eligible, serve the earliest start
        tag rather than idling. *)
@@ -80,7 +83,7 @@ let dequeue t ~now =
 let peek t =
   promote t ~now:t.last_now;
   match Fheap.min_elt t.eligible with
-  | Some pkt -> Some pkt
+  | Some h -> Some (Slab.get t.released h)
   | None -> begin
     match Flow_heap.peek t.pending with
     | Some e -> Some e.Flow_heap.value
@@ -94,12 +97,12 @@ let backlog t flow = Flow_table.find t.counts flow
    packets still in [pending] (promotion pops the flow's FIFO head),
    so Oldest looks in [eligible] first and Newest in [pending] first. *)
 let evict t victim flow =
-  let pred p = p.Packet.flow = flow in
+  let pred h = (Slab.get t.released h).Packet.flow = flow in
   let found =
     match (victim : Sched.victim) with
     | Sched.Oldest -> (
       match Fheap.remove_matching t.eligible ~pred with
-      | Some (_, p) -> Some p
+      | Some (_, h) -> Some (Slab.take t.released h)
       | None -> (
         match Flow_heap.evict_front t.pending flow with
         | Some e -> Some e.Flow_heap.value
@@ -109,7 +112,7 @@ let evict t victim flow =
       | Some e -> Some e.Flow_heap.value
       | None -> (
         match Fheap.remove_matching ~newest:true t.eligible ~pred with
-        | Some (_, p) -> Some p
+        | Some (_, h) -> Some (Slab.take t.released h)
         | None -> None))
   in
   (match found with
@@ -118,10 +121,10 @@ let evict t victim flow =
   found
 
 let close_flow t ~now flow =
-  let pred p = p.Packet.flow = flow in
+  let pred h = (Slab.get t.released h).Packet.flow = flow in
   let rec drain_eligible acc =
     match Fheap.remove_matching t.eligible ~pred with
-    | Some (_, p) -> drain_eligible (p :: acc)
+    | Some (_, h) -> drain_eligible (Slab.take t.released h :: acc)
     | None -> List.rev acc
   in
   (* remove_matching takes ascending uid, so [released] is oldest

@@ -3,14 +3,15 @@
    The three ordering fields live in unboxed [float array]/[int array]
    slabs and are compared inline, so a sift step costs a handful of
    loads and float/int compares — no closure dispatch, no boxed tuple
-   or record per element, no polymorphic [compare]. The payload rides
-   in a fourth (uniform) array and is never inspected. *)
+   or record per element, no polymorphic [compare]. The payload is an
+   int in a fourth unboxed array and is never inspected, so a sift
+   writes no pointer and pays no write barrier. *)
 
-type 'a t = {
+type t = {
   mutable keys : float array;
   mutable ties : float array;
   mutable uids : int array;
-  mutable data : 'a array;  (* allocated lazily: no ['a] dummy exists *)
+  mutable data : int array;
   mutable size : int;
   mutable hint : int;  (* requested initial capacity *)
 }
@@ -29,20 +30,22 @@ let create ?(capacity = 16) () =
 let length h = h.size
 let is_empty h = h.size = 0
 
-let grow h x =
+(* The arrays are allocated at the first [add], so an idle heap costs
+   one small record. *)
+let grow h =
   if Array.length h.data = 0 then begin
     let cap = h.hint in
     h.keys <- Array.make cap 0.0;
     h.ties <- Array.make cap 0.0;
     h.uids <- Array.make cap 0;
-    h.data <- Array.make cap x
+    h.data <- Array.make cap 0
   end
   else if h.size = Array.length h.data then begin
     let cap = 2 * h.size in
     let keys = Array.make cap 0.0
     and ties = Array.make cap 0.0
     and uids = Array.make cap 0
-    and data = Array.make cap x in
+    and data = Array.make cap 0 in
     Array.blit h.keys 0 keys 0 h.size;
     Array.blit h.ties 0 ties 0 h.size;
     Array.blit h.uids 0 uids 0 h.size;
@@ -129,7 +132,7 @@ let sift_down h i0 =
   h.data.(!i) <- v
 
 let add h ~key ~tie ~uid x =
-  grow h x;
+  grow h;
   let i = h.size in
   h.keys.(i) <- key;
   h.ties.(i) <- tie;
@@ -164,6 +167,14 @@ let remove_root h =
     h.data.(0) <- h.data.(n);
     sift_down h 0
   end
+
+let replace_root h ~key ~tie ~uid x =
+  if h.size = 0 then invalid_arg "Fheap.replace_root: empty heap";
+  h.keys.(0) <- key;
+  h.ties.(0) <- tie;
+  h.uids.(0) <- uid;
+  h.data.(0) <- x;
+  sift_down h 0
 
 let pop h =
   if h.size = 0 then None

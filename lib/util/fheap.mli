@@ -19,72 +19,93 @@
     distinct uids the order is total, so pop order is independent of
     insertion order. Keys and ties must not be NaN.
 
-    [add] and [pop] are O(log n); [min]/[min_elt]/[min_key_exn] are
-    O(1). Once the arrays have reached peak size, [add],
-    [min_key_into], [min_elt_exn] and [remove_root] allocate nothing:
-    the comparisons are inlined, so no float is boxed on a sift. Keep {!Ds_heap} for heterogeneous orderings (version counters,
-    multi-field records) that do not fit this shape. *)
+    Payloads are ints. A sift moves every field of the element it
+    shifts, and a write to a polymorphic array goes through OCaml's
+    generic array path: a float-array tag check, then [caml_modify],
+    whose write barrier also darkens the overwritten value when it
+    lives in the major heap. An [int array] write is one store. A caller whose
+    payload is boxed keeps it in a {!Slab} and stores the handle here,
+    so it pays the barrier twice per element (the [Slab.put] and the
+    [Slab.take]) instead of once per sift level.
 
-type 'a t
+    [add], [pop] and [replace_root] are O(log n);
+    [min]/[min_elt]/[min_key_exn] are O(1). Once the arrays have
+    reached peak size, [add], [min_key_into], [min_elt_exn],
+    [remove_root] and [replace_root] allocate nothing: the comparisons
+    are inlined, so no float is boxed on a sift. Keep {!Ds_heap} for
+    heterogeneous orderings (version counters, multi-field records)
+    that do not fit this shape. *)
 
-val create : ?capacity:int -> unit -> 'a t
+type t
+
+val create : ?capacity:int -> unit -> t
 (** [create ()] is an empty heap. [capacity] (default 16) pre-sizes the
     backing arrays so a heap of known peak size never pays the
     grow-and-copy doubling. @raise Invalid_argument if [capacity < 1]. *)
 
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+val length : t -> int
+val is_empty : t -> bool
 
-val add : 'a t -> key:float -> tie:float -> uid:int -> 'a -> unit
+val add : t -> key:float -> tie:float -> uid:int -> int -> unit
 (** Insert a payload under the given ordering fields. *)
 
-val min_key_exn : 'a t -> float
+val min_key_exn : t -> float
 (** Smallest key, without allocation.
     @raise Invalid_argument on an empty heap. *)
 
-val min_key_into : 'a t -> float array -> unit
+val min_key_into : t -> float array -> unit
 (** [min_key_into h dst] stores the smallest key in [dst.(0)]. A float
     returned by a function that is not inlined is boxed, and the dev
     build inlines nothing across modules; a float array slot holds the
     key unboxed, so this reads it without allocating.
     @raise Invalid_argument on an empty heap. *)
 
-val min_elt_exn : 'a t -> 'a
+val min_elt_exn : t -> int
 (** Payload of the smallest element, without allocation.
     @raise Invalid_argument on an empty heap. *)
 
-val remove_root : 'a t -> unit
+val remove_root : t -> unit
 (** Remove the smallest element. With {!min_key_exn} and
     {!min_elt_exn} this pops without building the option and tuple
     {!pop} returns, so a steady-state add/pop cycle allocates nothing.
     @raise Invalid_argument on an empty heap. *)
 
-val min_elt : 'a t -> 'a option
+val replace_root : t -> key:float -> tie:float -> uid:int -> int -> unit
+(** [replace_root h ~key ~tie ~uid x] removes the smallest element and
+    inserts [x] in one sift down from the root, where {!remove_root}
+    then {!add} would sift twice. The heap holds the same elements
+    either way, but in a different layout. Pop order depends only on
+    the elements when their uids are distinct, so use it only there:
+    with a repeated uid, equal [(key, tie, uid)] elements could pop in
+    another order, and {!iter} visits elements in layout order.
+    @raise Invalid_argument on an empty heap. *)
+
+val min_elt : t -> int option
 (** Payload of the smallest element, without removing it. *)
 
-val min : 'a t -> (float * 'a) option
+val min : t -> (float * int) option
 (** Key and payload of the smallest element, without removing it. *)
 
-val pop : 'a t -> (float * 'a) option
+val pop : t -> (float * int) option
 (** Remove the smallest element; returns its key and payload. *)
 
-val pop_elt : 'a t -> 'a option
+val pop_elt : t -> int option
 (** Remove the smallest element; returns just the payload. *)
 
 val remove_matching :
-  ?newest:bool -> 'a t -> pred:('a -> bool) -> (float * 'a) option
+  ?newest:bool -> t -> pred:(int -> bool) -> (float * int) option
 (** Remove and return the matching element with the smallest [uid]
     (the oldest insertion) — or the largest when [newest] is set.
     O(n) scan plus an O(log n) repair: for eviction paths, which are
     off the per-packet hot path by construction. [None] if nothing
     matches. *)
 
-val capacity : 'a t -> int
+val capacity : t -> int
 (** Allocated slots in the backing arrays (>= {!length}); 0 before the
     first {!add}. Exposed for capacity-leak tests. *)
 
-val clear : 'a t -> unit
+val clear : t -> unit
 (** Remove every element (backing arrays are retained). *)
 
-val iter : 'a t -> f:(float -> 'a -> unit) -> unit
+val iter : t -> f:(float -> int -> unit) -> unit
 (** Apply [f key payload] to every element in unspecified order. *)

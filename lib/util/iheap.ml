@@ -8,13 +8,15 @@
 
    The root can be inspected and removed without constructing an
    option or a tuple ([min_key_exn] / [min_elt_exn] / [remove_root]),
-   which is what lets Iflow_heap's pop run allocation-free. *)
+   which is what lets Iflow_heap's pop run allocation-free. The payload
+   is an int too, so a sift writes no pointer and pays no write
+   barrier. *)
 
-type 'a t = {
+type t = {
   mutable keys : int array;
   mutable ties : int array;
   mutable uids : int array;
-  mutable data : 'a array;  (* allocated lazily: no ['a] dummy exists *)
+  mutable data : int array;
   mutable size : int;
   mutable hint : int;  (* requested initial capacity *)
 }
@@ -26,20 +28,22 @@ let create ?(capacity = 16) () =
 let length h = h.size
 let is_empty h = h.size = 0
 
-let grow h x =
+(* The arrays are allocated at the first [add], so an idle heap costs
+   one small record. *)
+let grow h =
   if Array.length h.data = 0 then begin
     let cap = h.hint in
     h.keys <- Array.make cap 0;
     h.ties <- Array.make cap 0;
     h.uids <- Array.make cap 0;
-    h.data <- Array.make cap x
+    h.data <- Array.make cap 0
   end
   else if h.size = Array.length h.data then begin
     let cap = 2 * h.size in
     let keys = Array.make cap 0
     and ties = Array.make cap 0
     and uids = Array.make cap 0
-    and data = Array.make cap x in
+    and data = Array.make cap 0 in
     Array.blit h.keys 0 keys 0 h.size;
     Array.blit h.ties 0 ties 0 h.size;
     Array.blit h.uids 0 uids 0 h.size;
@@ -50,8 +54,11 @@ let grow h x =
     h.data <- data
   end
 
+(* The comparisons are [@inline], as in Fheap: a sift level then costs
+   no call. *)
+
 (* Is the loose element (k, tie, uid) strictly below slot [j]? *)
-let lt_slot h k tie uid j =
+let[@inline] lt_slot h k tie uid j =
   let kj = h.keys.(j) in
   k < kj
   || k = kj
@@ -60,10 +67,10 @@ let lt_slot h k tie uid j =
      tie < tj || (tie = tj && uid < h.uids.(j))
 
 (* Is slot [i] strictly below slot [j]? *)
-let lt h i j = lt_slot h h.keys.(i) h.ties.(i) h.uids.(i) j
+let[@inline] lt h i j = lt_slot h h.keys.(i) h.ties.(i) h.uids.(i) j
 
 (* Is slot [j] strictly below the loose element (k, tie, uid)? *)
-let slot_lt h j k tie uid =
+let[@inline] slot_lt h j k tie uid =
   let kj = h.keys.(j) in
   kj < k
   || kj = k
@@ -122,7 +129,7 @@ let sift_down h i0 =
   h.data.(!i) <- v
 
 let add h ~key ~tie ~uid x =
-  grow h x;
+  grow h;
   let i = h.size in
   h.keys.(i) <- key;
   h.ties.(i) <- tie;
@@ -153,6 +160,14 @@ let remove_root h =
     h.data.(0) <- h.data.(n);
     sift_down h 0
   end
+
+let replace_root h ~key ~tie ~uid x =
+  if h.size = 0 then invalid_arg "Iheap.replace_root: empty heap";
+  h.keys.(0) <- key;
+  h.ties.(0) <- tie;
+  h.uids.(0) <- uid;
+  h.data.(0) <- x;
+  sift_down h 0
 
 let pop h =
   if h.size = 0 then None

@@ -118,7 +118,7 @@ let iheap_drain h =
   go []
 
 let test_iheap_empty () =
-  let h : int Iheap.t = Iheap.create () in
+  let h = Iheap.create () in
   check_int "length" 0 (Iheap.length h);
   check_bool "is_empty" true (Iheap.is_empty h);
   check_bool "pop" true (Iheap.pop h = None);
@@ -182,17 +182,23 @@ let prop_iheap_tie_uid_stability =
       done;
       iheap_drain h = List.init n (fun i -> i))
 
+(* Operation 0 pops, 1 adds and 2 replaces the root (an empty heap
+   must refuse that), as in the Fheap property. *)
 let prop_iheap_interleaved =
   QCheck.Test.make ~name:"iheap: matches sorted-list model under interleaving"
     ~count:200
-    QCheck.(list (pair bool (pair (0 -- 5) (0 -- 3))))
+    QCheck.(list (pair (0 -- 2) (pair (0 -- 5) (0 -- 3))))
     (fun ops ->
       let h = Iheap.create () in
       let model = ref [] in
       let uid = ref 0 in
+      let model_min () =
+        match List.sort compare !model with [] -> None | (key, _, u) :: _ -> Some (key, u)
+      in
       List.for_all
-        (fun (is_pop, (k, t)) ->
-          if is_pop then begin
+        (fun (op, (k, t)) ->
+          match op with
+          | 0 ->
             let expected =
               match List.sort compare !model with
               | [] -> None
@@ -201,13 +207,22 @@ let prop_iheap_interleaved =
                 Some (key, u)
             in
             Iheap.pop h = expected
-          end
-          else begin
+          | 1 ->
             Iheap.add h ~key:k ~tie:t ~uid:!uid !uid;
             model := (k, t, !uid) :: !model;
             incr uid;
             true
-          end)
+          | _ -> (
+            match List.sort compare !model with
+            | [] -> (
+              match Iheap.replace_root h ~key:k ~tie:t ~uid:!uid !uid with
+              | () -> false
+              | exception Invalid_argument _ -> true)
+            | min :: _ ->
+              Iheap.replace_root h ~key:k ~tie:t ~uid:!uid !uid;
+              model := (k, t, !uid) :: List.filter (fun x -> x <> min) !model;
+              incr uid;
+              Iheap.min h = model_min ()))
         ops
       && Iheap.length h = List.length !model)
 

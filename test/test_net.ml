@@ -341,13 +341,20 @@ let test_link_memory_scales_with_carried_flows () =
 (* ------------------------------------------------------------------ *)
 (* Exact-count budgets: what one delivered packet costs the host path
    on small cells shaped like the star-churn and tree-buffered
-   benchmark workloads. Word and call counts are deterministic, so a
-   budget just above today's count fails on one extra allocation per
-   packet. Minor words are read with [Gc.minor_words], which counts
-   the words allocated since the last minor collection too; the
-   [Gc.minor] fences make the promoted count cover exactly the run. *)
+   benchmark workloads. Word, call and event counts are deterministic,
+   so a budget just above today's count fails on one extra allocation
+   per packet, or one extra simulator event per hop. Minor words are
+   read with [Gc.minor_words], which counts the words allocated since
+   the last minor collection too; the [Gc.minor] fences make the
+   promoted count cover exactly the run. *)
 
-type budget = { minor : float; promoted : float; calls : float; high_water : int }
+type budget = {
+  minor : float;
+  promoted : float;
+  calls : float;
+  events : float;
+  high_water : int;
+}
 
 let star_cell () = Net_sweep.scale_star ~flows:20_000 ~window:256 ~seed:7 ()
 
@@ -408,10 +415,11 @@ let check_budget name (s : Net_sweep.scenario) (b : budget) () =
   let pkts = float_of_int o.Net_sweep.delivered in
   let minor = (m1 -. m0) /. pkts
   and promoted = (p1 -. p0) /. pkts
-  and calls = float_of_int !calls /. pkts in
-  Printf.printf "%s: %d delivered, %.4f minor words, %.4f promoted words, %.4f sched calls \
-                 per packet, high water %d\n"
-    name o.Net_sweep.delivered minor promoted calls o.Net_sweep.high_water;
+  and calls = float_of_int !calls /. pkts
+  and events = float_of_int o.Net_sweep.events /. pkts in
+  Printf.printf "%s: %d delivered, %.4f minor words, %.4f promoted words, %.4f sched calls, \
+                 %.4f sim events per packet, high water %d\n"
+    name o.Net_sweep.delivered minor promoted calls events o.Net_sweep.high_water;
   let within what got limit =
     check_bool (Printf.sprintf "%s: %s %.4f <= %g per packet" name what got limit) true
       (got <= limit)
@@ -419,6 +427,7 @@ let check_budget name (s : Net_sweep.scenario) (b : budget) () =
   within "minor words" minor b.minor;
   within "promoted words" promoted b.promoted;
   within "scheduler calls" calls b.calls;
+  within "sim events" events b.events;
   check_bool
     (Printf.sprintf "%s: registry high water %d <= %d" name o.Net_sweep.high_water
        b.high_water)
@@ -427,11 +436,11 @@ let check_budget name (s : Net_sweep.scenario) (b : budget) () =
 
 let test_star_budget =
   check_budget "star-churn cell" (star_cell ())
-    { minor = 39.0; promoted = 1.2; calls = 5.41; high_water = 260 }
+    { minor = 39.0; promoted = 1.2; calls = 5.41; events = 4.63; high_water = 260 }
 
 let test_tree_budget =
   check_budget "tree-buffered cell" (tree_cell ())
-    { minor = 125.5; promoted = 48.0; calls = 26.0; high_water = 260 }
+    { minor = 117.75; promoted = 48.0; calls = 26.0; events = 8.18; high_water = 260 }
 
 (* ------------------------------------------------------------------ *)
 (* The composed end-to-end oracle, driven by hand.                     *)

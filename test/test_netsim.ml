@@ -97,6 +97,28 @@ let test_sim_run_all_zero_alloc () =
   check_float "clock at the last event" (float_of_int (n / 3)) (Sim.now sim);
   check_float "minor words over 100k pops" 0.0 words
 
+(* The callback's only reference is the queue's; [@inline never] keeps
+   this frame from holding it. *)
+let[@inline never] schedule_tracked sim w ~at fired =
+  let payload = ref 0 in
+  Weak.set w 0 (Some payload);
+  Sim.schedule sim ~at (fun () ->
+      incr payload;
+      incr fired)
+
+(* A fired callback is garbage: the queue clears its slot, so the
+   simulator, still alive with an event pending, does not keep the
+   callback or what it captured reachable. *)
+let test_sim_releases_fired_callbacks () =
+  let sim = Sim.create () and w = Weak.create 1 and fired = ref 0 in
+  schedule_tracked sim w ~at:1.0 fired;
+  Sim.schedule sim ~at:2.0 (fun () -> incr fired);
+  Sim.run sim ~until:1.5;
+  check_int "first fired" 1 !fired;
+  Gc.full_major ();
+  check_bool "fired callback collected" false (Weak.check w 0);
+  check_int "second still pending" 1 (Sim.pending sim)
+
 (* ------------------------------------------------------------------ *)
 (* Rate_process                                                         *)
 
@@ -600,6 +622,8 @@ let () =
           Alcotest.test_case "same-instant reschedule" `Quick test_sim_same_instant_reschedule;
           Alcotest.test_case "run_all allocates nothing per pop" `Quick
             test_sim_run_all_zero_alloc;
+          Alcotest.test_case "fired callbacks are released" `Quick
+            test_sim_releases_fired_callbacks;
         ] );
       ( "rate_process",
         [

@@ -311,7 +311,7 @@ let test_flow_fifo_state_bounded () =
 
 (* Monitors cost a wrapped scheduler no allocation: a warm
    enqueue/dequeue pair through [wrap] allocates only the scheduler's
-   [Some] and the boxed [finish], 4 words. *)
+   [Some], 2 words. The departure times reach the hooks unboxed. *)
 let test_wrap_alloc () =
   let inner =
     Sfq_pifo.Pifo_sched.sched
@@ -337,8 +337,8 @@ let test_wrap_alloc () =
   let words = (Gc.minor_words () -. before) /. float_of_int n in
   List.iter (fun m -> check_bool (Monitor.name m ^ " silent") false (tripped m)) monitors;
   check_bool
-    (Printf.sprintf "%.4f minor words per enqueue/dequeue pair (at most 4)" words)
-    true (words <= 4.0)
+    (Printf.sprintf "%.4f minor words per enqueue/dequeue pair (at most 2)" words)
+    true (words <= 2.0)
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance sweeps                                                    *)

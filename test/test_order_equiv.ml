@@ -22,33 +22,37 @@ let test_fheap_sorts () =
   let rng = Rng.create 11 in
   let h = Fheap.create ~capacity:4 () in
   let items =
-    List.init 500 (fun uid ->
+    Array.init 500 (fun uid ->
         (float_of_int (Rng.int rng 20) *. 0.5, float_of_int (Rng.int rng 3), uid))
   in
-  List.iter (fun (key, tie, uid) -> Fheap.add h ~key ~tie ~uid (key, tie, uid)) items;
+  (* the payload is the item's index *)
+  Array.iter (fun (key, tie, uid) -> Fheap.add h ~key ~tie ~uid uid) items;
   check_int "length" 500 (Fheap.length h);
-  let expected = List.sort compare items in
+  let expected = List.sort compare (Array.to_list items) in
   let popped =
     List.init 500 (fun _ ->
-        match Fheap.pop h with Some (_, x) -> x | None -> Alcotest.fail "early empty")
+        match Fheap.pop h with
+        | Some (_, i) -> items.(i)
+        | None -> Alcotest.fail "early empty")
   in
   Alcotest.(check bool) "pop order = sorted (key, tie, uid)" true (popped = expected);
   check_bool "drained" true (Fheap.is_empty h)
 
 let test_fheap_pop_returns_key () =
   let h = Fheap.create () in
-  Fheap.add h ~key:2.5 ~tie:0.0 ~uid:0 "b";
-  Fheap.add h ~key:1.5 ~tie:0.0 ~uid:1 "a";
+  let names = [| "b"; "a" |] in
+  Fheap.add h ~key:2.5 ~tie:0.0 ~uid:0 0;
+  Fheap.add h ~key:1.5 ~tie:0.0 ~uid:1 1;
   (match Fheap.min h with
   | Some (k, v) ->
     Alcotest.(check (float 0.0)) "min key" 1.5 k;
-    Alcotest.(check string) "min payload" "a" v
+    Alcotest.(check string) "min payload" "a" names.(v)
   | None -> Alcotest.fail "empty");
   Alcotest.(check (float 0.0)) "min_key_exn" 1.5 (Fheap.min_key_exn h);
   (match Fheap.pop h with
   | Some (k, v) ->
     Alcotest.(check (float 0.0)) "popped key" 1.5 k;
-    Alcotest.(check string) "popped payload" "a" v
+    Alcotest.(check string) "popped payload" "a" names.(v)
   | None -> Alcotest.fail "empty");
   check_int "one left" 1 (Fheap.length h)
 

@@ -569,6 +569,27 @@ let test_lifecycle_alloc () =
     (Printf.sprintf "%.0f minor words over 10k enqueue/dequeue/close cycles (<= 3 per cycle)" d)
     true (d <= 30_000.0)
 
+(* The sched-backlog benchmark's shape: 1024 flows 64 deep, weights
+   1024·2^k, its four packet lengths. Each served packet rejoins its
+   flow's tail, so every flow stays exactly 64 deep, as the benchmark's
+   weight-proportional arrivals keep its flows on average. A warm
+   dequeue/enqueue pair through PIFO-SFQ allocates nothing: at depth,
+   the rank store costs sifts, not garbage. *)
+let test_backlog_zero_alloc () =
+  let flows = 1024 and depth = 64 and lens = [| 512; 4096; 8192; 12288 |] in
+  let rng = Rng.create 3 in
+  let w = List.init flows (fun f -> (f, 1024.0 *. float_of_int (1 lsl Rng.int rng 5))) in
+  let t = Pifo.create (Programs.sfq (Weights.of_list w)) in
+  for i = 0 to (flows * depth) - 1 do
+    Pifo.enqueue t ~now:0.0
+      (Packet.make ~flow:(i mod flows) ~seq:((i / flows) + 1) ~len:lens.(Rng.int rng 4)
+         ~born:0.0 ())
+  done;
+  let step () = Pifo.enqueue t ~now:0.0 (Pifo.dequeue_exn t) in
+  let d = alloc_delta step in
+  check_int "backlog kept" (flows * depth) (Pifo.size t);
+  check_bool (Printf.sprintf "%.0f minor words over 10k op pairs at depth" d) true (d = 0.0)
+
 (* ------------------------------------------------------------------ *)
 (* Rank clamping: user programs cannot wrap the order.                  *)
 
@@ -649,6 +670,8 @@ let () =
         [
           Alcotest.test_case "zero-alloc steady state" `Quick test_zero_alloc_steady_state;
           Alcotest.test_case "flow lifecycle <= 3 words per cycle" `Quick test_lifecycle_alloc;
+          Alcotest.test_case "sched-backlog shape: zero-alloc at depth" `Quick
+            test_backlog_zero_alloc;
         ] );
       ( "saturation",
         [

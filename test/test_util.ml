@@ -116,7 +116,7 @@ let prop_heap_interleaved =
 (* Fheap                                                                *)
 
 let test_fheap_empty () =
-  let h : int Fheap.t = Fheap.create () in
+  let h = Fheap.create () in
   check_int "length" 0 (Fheap.length h);
   check_bool "is_empty" true (Fheap.is_empty h);
   check_bool "pop" true (Fheap.pop h = None);
@@ -149,17 +149,18 @@ let test_fheap_zero_alloc () =
   let n = 512 and warm = 1_000 and cycles = 100_000 in
   let entries = Array.init (n + warm + cycles) (fun i -> { fkey = float_of_int i; fid = i }) in
   let h = Fheap.create ~capacity:n () in
+  (* the payload is the entry's index *)
   for i = 0 to n - 1 do
-    Fheap.add h ~key:entries.(i).fkey ~tie:0.5 ~uid:i entries.(i)
+    Fheap.add h ~key:entries.(i).fkey ~tie:0.5 ~uid:i i
   done;
   (* pop the minimum, push the next entry: keys leave in ascending order *)
   let next = ref n and key = [| 0.0 |] and ordered = ref true in
   let cycle () =
     Fheap.min_key_into h key;
-    let e = Fheap.min_elt_exn h in
+    let e = entries.(Fheap.min_elt_exn h) in
     Fheap.remove_root h;
     if key.(0) <> e.fkey || e.fid <> !next - n then ordered := false;
-    Fheap.add h ~key:entries.(!next).fkey ~tie:0.5 ~uid:!next entries.(!next);
+    Fheap.add h ~key:entries.(!next).fkey ~tie:0.5 ~uid:!next !next;
     incr next
   in
   for _ = 1 to warm do
@@ -217,17 +218,26 @@ let prop_fheap_tie_uid_stability =
       done;
       fheap_drain h = List.init n (fun i -> i))
 
+(* Operation 0 pops, 1 adds and 2 replaces the root (an empty heap
+   must refuse that). After a replacement the root must be the model's
+   minimum. *)
 let prop_fheap_interleaved =
   QCheck.Test.make ~name:"fheap: matches sorted-list model under interleaving"
     ~count:200
-    QCheck.(list (pair bool (pair (0 -- 5) (0 -- 3))))
+    QCheck.(list (pair (0 -- 2) (pair (0 -- 5) (0 -- 3))))
     (fun ops ->
       let h = Fheap.create () in
       let model = ref [] in
       let uid = ref 0 in
+      let model_min () =
+        match List.sort compare !model with
+        | [] -> None
+        | (key, _, u) :: _ -> Some (float_of_int key, u)
+      in
       List.for_all
-        (fun (is_pop, (k, t)) ->
-          if is_pop then begin
+        (fun (op, (k, t)) ->
+          match op with
+          | 0 ->
             let expected =
               match List.sort compare !model with
               | [] -> None
@@ -236,15 +246,106 @@ let prop_fheap_interleaved =
                 Some (float_of_int key, u)
             in
             Fheap.pop h = expected
-          end
-          else begin
+          | 1 ->
             Fheap.add h ~key:(float_of_int k) ~tie:(float_of_int t) ~uid:!uid !uid;
             model := (k, t, !uid) :: !model;
             incr uid;
             true
-          end)
+          | _ -> (
+            match List.sort compare !model with
+            | [] -> (
+              match
+                Fheap.replace_root h ~key:(float_of_int k) ~tie:(float_of_int t) ~uid:!uid
+                  !uid
+              with
+              | () -> false
+              | exception Invalid_argument _ -> true)
+            | min :: _ ->
+              Fheap.replace_root h ~key:(float_of_int k) ~tie:(float_of_int t) ~uid:!uid
+                !uid;
+              model := (k, t, !uid) :: List.filter (fun x -> x <> min) !model;
+              incr uid;
+              Fheap.min h = model_min ()))
         ops
       && Fheap.length h = List.length !model)
+
+(* ------------------------------------------------------------------ *)
+(* Slab                                                                 *)
+
+(* Operations 0 and 1 put (so the slab fills), 2 gets and 3 takes a
+   live handle chosen by [x]. A put must return the handle most
+   recently freed, or the next unused one; a handle once taken must be
+   refused. Values are fresh blocks, compared physically. *)
+let prop_slab_model =
+  QCheck.Test.make ~name:"slab: matches a Hashtbl model, LIFO handle reuse" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 300) (pair (0 -- 3) small_nat))
+    (fun ops ->
+      let s = Slab.create () in
+      let model = Hashtbl.create 16 in
+      let freed = ref [] and issued = ref 0 in
+      let pick x =
+        let live = List.sort compare (Hashtbl.fold (fun h _ acc -> h :: acc) model []) in
+        match live with [] -> None | l -> Some (List.nth l (x mod List.length l))
+      in
+      let refused f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      List.for_all
+        (fun (op, x) ->
+          match op with
+          | 0 | 1 ->
+            let expected =
+              match !freed with
+              | h :: rest ->
+                freed := rest;
+                h
+              | [] ->
+                incr issued;
+                !issued - 1
+            in
+            let v = ref x in
+            let h = Slab.put s v in
+            Hashtbl.replace model h v;
+            h = expected
+          | 2 -> (
+            match pick x with None -> true | Some h -> Slab.get s h == Hashtbl.find model h)
+          | _ -> (
+            match pick x with
+            | None -> refused (fun () -> Slab.take s !issued)
+            | Some h ->
+              let v = Slab.take s h in
+              let ok = v == Hashtbl.find model h in
+              Hashtbl.remove model h;
+              freed := h :: !freed;
+              ok && refused (fun () -> Slab.get s h) && refused (fun () -> Slab.take s h)))
+        ops)
+
+(* The value lives only in the slab; [@inline never] keeps this frame
+   from holding it. *)
+let[@inline never] put_tracked s w =
+  let v = ref 1 in
+  Weak.set w 0 (Some v);
+  Slab.put s v
+
+let[@inline never] take_dropped s h = ignore (Sys.opaque_identity (Slab.take s h))
+
+(* An immediate needs no slab, and a free slot is told apart from a
+   live one by holding an immediate. *)
+let test_slab_refuses_immediates () =
+  Alcotest.check_raises "int" (Invalid_argument "Slab.put: an immediate value needs no slab")
+    (fun () -> ignore (Slab.put (Slab.create ()) 3));
+  Alcotest.check_raises "constant constructor"
+    (Invalid_argument "Slab.put: an immediate value needs no slab") (fun () ->
+      ignore (Slab.put (Slab.create ()) None))
+
+(* [take] clears the slot: the slab, still alive and holding another
+   value, no longer keeps the taken value reachable. *)
+let test_slab_take_releases () =
+  let s = Slab.create () and w = Weak.create 1 in
+  let h = put_tracked s w in
+  let other = Slab.put s (ref 2) in
+  take_dropped s h;
+  Gc.full_major ();
+  check_bool "taken value collected" false (Weak.check w 0);
+  check_int "slab still alive" 2 !(Slab.get s other)
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                  *)
@@ -776,6 +877,12 @@ let () =
           q prop_fheap_pop_order_matches_reference;
           q prop_fheap_tie_uid_stability;
           q prop_fheap_interleaved;
+        ] );
+      ( "slab",
+        [
+          q prop_slab_model;
+          Alcotest.test_case "put refuses immediates" `Quick test_slab_refuses_immediates;
+          Alcotest.test_case "take releases the value" `Quick test_slab_take_releases;
         ] );
       ( "rng",
         [
