@@ -11,39 +11,61 @@ let intersect_intervals a b =
   in
   go a b []
 
-(* Completions of f or m inside [lo,hi], as signed normalized lengths,
-   in finish order. *)
-let window_events log ~f ~m ~r_f ~r_m ~lo ~hi =
-  Vec.fold (Service_log.completions log) ~init:[] ~f:(fun acc c ->
-      if c.Service_log.start >= lo && c.finish <= hi then begin
-        if c.flow = f then (c.start, c.finish, float_of_int c.len /. r_f) :: acc
-        else if c.flow = m then (c.start, c.finish, -.(float_of_int c.len /. r_m)) :: acc
-        else acc
-      end
-      else acc)
-  |> List.rev
-
+(* The completions of f and m, in finish order: start, finish and
+   signed normalized length, filled once per pair. Each window then
+   copies its events into scratch arrays, and the O(k²) scan over
+   (t1, event) walks those: no list, no boxed float. The events, their
+   order and the summation order are the direct definition's, so every
+   H is bit-identical to it. *)
 let exact_h log ~f ~m ~r_f ~r_m ~until =
   let both =
     intersect_intervals
       (Service_log.busy_intervals log f ~until)
       (Service_log.busy_intervals log m ~until)
   in
-  let worst_in (lo, hi) =
-    let events = window_events log ~f ~m ~r_f ~r_m ~lo ~hi in
-    let starts = lo :: List.map (fun (s, _, _) -> s) events in
-    let worst_from t1 =
-      let rec go acc best = function
-        | [] -> best
-        | (s, _, v) :: rest ->
-          let acc = if s >= t1 then acc +. v else acc in
-          go acc (Float.max best (Float.abs acc)) rest
-      in
-      go 0.0 0.0 events
+  if both = [] then 0.0
+  else begin
+    let comps = Service_log.completions log in
+    let of_pair (c : Service_log.completion) = c.flow = f || c.flow = m in
+    let k = Vec.fold comps ~init:0 ~f:(fun k c -> if of_pair c then k + 1 else k) in
+    let start = Array.make k 0.0 and finish = Array.make k 0.0 in
+    let value = Array.make k 0.0 in
+    let j = ref 0 in
+    Vec.iter comps ~f:(fun c ->
+        if of_pair c then begin
+          start.(!j) <- c.start;
+          finish.(!j) <- c.finish;
+          value.(!j) <-
+            (if c.flow = f then float_of_int c.len /. r_f
+             else -.(float_of_int c.len /. r_m));
+          incr j
+        end);
+    let w_start = Array.make k 0.0 and w_value = Array.make k 0.0 in
+    let worst_in best (lo, hi) =
+      let nw = ref 0 in
+      for i = 0 to k - 1 do
+        if start.(i) >= lo && finish.(i) <= hi then begin
+          w_start.(!nw) <- start.(i);
+          w_value.(!nw) <- value.(i);
+          incr nw
+        end
+      done;
+      let nw = !nw in
+      (* t1 ranges over lo, then every event's start *)
+      let worst = ref 0.0 in
+      for j = -1 to nw - 1 do
+        let t1 = if j < 0 then lo else w_start.(j) in
+        let acc = ref 0.0 and best_from = ref 0.0 in
+        for i = 0 to nw - 1 do
+          if w_start.(i) >= t1 then acc := !acc +. w_value.(i);
+          best_from := Float.max !best_from (Float.abs !acc)
+        done;
+        worst := Float.max !worst !best_from
+      done;
+      Float.max best !worst
     in
-    List.fold_left (fun best t1 -> Float.max best (worst_from t1)) 0.0 starts
-  in
-  List.fold_left (fun best iv -> Float.max best (worst_in iv)) 0.0 both
+    List.fold_left worst_in 0.0 both
+  end
 
 let approx_h log ~f ~m ~r_f ~r_m ~until =
   let both =

@@ -8,8 +8,13 @@
 
     - {!exact_h} maximizes over all candidate window boundaries
       (service starts × finishes) inside every both-backlogged
-      interval — O(n²) in the number of completions, exact; used by the
-      property tests against Theorem 1's bound;
+      interval, exact; used by [Sfq_oracle.Monitor.fairness] and the
+      property tests against Theorem 1's bound. One pass over the log
+      copies the pair's completions into float arrays; each window
+      then takes its k completions from those arrays and scans
+      O(k²) (start, completion) steps, allocating nothing per step:
+      O(n + windows × k_pair + Σ k²) for n logged completions, k_pair
+      of them the pair's;
     - {!approx_h} is a streaming drawdown over the normalized service
       difference sampled at completion instants — O(n); it attributes
       each packet to its finish time, so it can overshoot the exact

@@ -206,6 +206,32 @@ let compact_lstf ?seed () =
     (r.Lstf_replay.single @ r.Lstf_replay.net @ r.Lstf_replay.control
    @ r.Lstf_replay.kills)
 
+(* The oracle acceptance cells: the mutant lines of [Run.sweep_digest]
+   as they are, so a changed violation time or text shows in the diff,
+   and one MD5 of [Run.sweep_digest] per [Suite.all_cells] family. *)
+let compact_oracle () =
+  let open Sfq_oracle in
+  let digest cells = Run.sweep_digest cells (Run.sweep cells) in
+  let mutants = List.map snd (Suite.mutant_cells ()) in
+  let mutant_lines =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (digest mutants))
+  in
+  List.map (fun l -> "oracle." ^ l) mutant_lines
+  @ List.map
+      (fun (family, cells) ->
+        Printf.sprintf "oracle.%s cells=%d digest=%s" family (List.length cells)
+          (Digest.to_hex (Digest.string (digest cells))))
+      [
+        ("sfq", Suite.sfq_cells ());
+        ("scfq", Suite.scfq_cells ());
+        ("sfq+overrides", Suite.sfq_override_cells ());
+        ("structural", Suite.structural_cells ());
+        ("reweight", Suite.reweight_cells ());
+        ("stress", Suite.stress_cells ());
+        ("sp-pifo", Suite.sp_pifo_cells ());
+        ("pifo", Suite.pifo_cells ());
+      ]
+
 let compact ~id ?seed ~quick () =
   match id with
   | "example-1" -> Some (String.concat "\n" (compact_example1 ()))
@@ -226,9 +252,12 @@ let golden_corpus () =
        "# discipline), E27 (net-sweep, one delivery-order digest per topology";
        "# x discipline x seed cell), E28 (lstf-replay, one replay verdict per";
        "# recorded schedule: single-hop cells, grid cells, SFQ negative";
-       "# controls and seeded-mutant kills). Per-flow packet counts, service";
-       "# order hashes, drop counts and %h-exact headline numbers under the";
-       "# default seeds.";
+       "# controls and seeded-mutant kills), and the oracle acceptance cells";
+       "# (oracle, one Run.sweep_digest line per seeded mutant, with each";
+       "# violation's %h time and text, then one MD5 of Run.sweep_digest per";
+       "# Suite.all_cells family). Per-flow packet counts, service order";
+       "# hashes, drop counts and %h-exact headline numbers under the default";
+       "# seeds.";
        "# Regenerate after an intentional behavioral change with:";
        "#   dune exec bin/sfq_sweep.exe -- golden > test/golden/digests.expected";
      ]
@@ -238,5 +267,6 @@ let golden_corpus () =
     @ compact_churn ()
     @ compact_pifo ()
     @ compact_netsweep ()
-    @ compact_lstf ())
+    @ compact_lstf ()
+    @ compact_oracle ())
   ^ "\n"

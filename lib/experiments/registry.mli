@@ -51,6 +51,9 @@ val golden_corpus : unit -> string
 (** The checked-in golden block ([test/golden/digests.expected]):
     {!compact} of example-1, fig-1b, table-1, churn-stress, pifo-port,
     net-sweep and lstf-replay under their default seeds (table-1 in quick mode, so
-    [dune runtest] stays fast), plus [#]-comment header lines. Regenerate with
+    [dune runtest] stays fast), then the oracle acceptance cells: the
+    {!Sfq_oracle.Run.sweep_digest} line of every seeded mutant and one
+    MD5 of it per {!Sfq_oracle.Suite.all_cells} family; plus [#]-comment
+    header lines. Regenerate with
     [sfq-sweep golden > test/golden/digests.expected]; the regression
     test compares everything except [#] lines. *)

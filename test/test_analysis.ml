@@ -284,6 +284,73 @@ let test_approx_exact_agree_alternating () =
   check_float "exact is one packet" 100.0 e;
   check_float "approx agrees" e a
 
+(* Random four-flow logs through the manual API: arrivals, service of a
+   backlogged flow at a fixed rate, removals and idle gaps, measured at
+   an [until] that may leave intervals open. Rates that are not powers
+   of two make every sum order-sensitive. *)
+let random_log_gen =
+  QCheck.Gen.(
+    pair
+      (list_size (0 -- 80)
+         (frequency
+            [
+              (4, map (fun f -> `Arrive f) (1 -- 4));
+              (4, map2 (fun f l -> `Serve (f, l)) (1 -- 4) (oneofl [ 100; 200; 500; 1000 ]));
+              (1, map (fun f -> `Remove f) (1 -- 4));
+              (1, map (fun g -> `Gap g) (1 -- 30));
+            ]))
+      (0 -- 20))
+
+let build_random_log (steps, extra) =
+  let log = Service_log.create () and backlog = Array.make 5 0 and t = ref 0.0 in
+  List.iter
+    (function
+      | `Arrive f ->
+        backlog.(f) <- backlog.(f) + 1;
+        Service_log.note_arrival log ~at:!t f
+      | `Serve (f, len) ->
+        if backlog.(f) > 0 then begin
+          backlog.(f) <- backlog.(f) - 1;
+          let start = !t in
+          t := start +. (float_of_int len /. 300.0);
+          Service_log.note_completion log ~flow:f ~start ~finish:!t ~len
+        end
+      | `Remove f ->
+        if backlog.(f) > 0 then begin
+          backlog.(f) <- backlog.(f) - 1;
+          Service_log.note_removal log ~at:!t f
+        end
+      | `Gap g -> t := !t +. (float_of_int g /. 7.0))
+    steps;
+  (log, !t +. (float_of_int extra /. 3.0))
+
+let random_rates = [| 0.3; 1.0; 3.0; 7.0 |]
+let positive_h_cases = ref 0
+
+let prop_exact_h_matches_model =
+  QCheck.Test.make ~count:500 ~name:"fairness: exact_h bit-identical to the list model"
+    (QCheck.make random_log_gen)
+    (fun input ->
+      let log, until = build_random_log input in
+      let positive = ref false in
+      for f = 1 to 4 do
+        for m = 1 to 4 do
+          let r_f = random_rates.(f - 1) and r_m = random_rates.(m - 1) in
+          let got = Fairness.exact_h log ~f ~m ~r_f ~r_m ~until
+          and want = Oracle_model.exact_h log ~f ~m ~r_f ~r_m ~until in
+          if got > 0.0 then positive := true;
+          if Int64.bits_of_float got <> Int64.bits_of_float want then
+            QCheck.Test.fail_reportf "flows (%d,%d): exact_h %h, model %h" f m got want
+        done
+      done;
+      if !positive then incr positive_h_cases;
+      true)
+
+(* The property above is vacuous unless the logs give nonzero H. *)
+let test_exact_h_cases_positive () =
+  Printf.printf "exact_h > 0 for some pair in %d of 500 logs\n" !positive_h_cases;
+  check_bool "some logs give H > 0" true (!positive_h_cases > 0)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "analysis"
@@ -309,5 +376,9 @@ let () =
           Alcotest.test_case "weights scale" `Quick test_weights_scale_h;
           Alcotest.test_case "throughput" `Quick test_throughput;
           Alcotest.test_case "max pairwise" `Quick test_max_pairwise;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xe4 |])
+            prop_exact_h_matches_model;
+          Alcotest.test_case "exact_h model cases non-vacuous" `Quick
+            test_exact_h_cases_positive;
         ] );
     ]
