@@ -72,6 +72,7 @@ let pifo_sched mode weights =
       attach = Rank_program.no_attach;
       on_close = (fun ~now:_ ~slot _ -> Flow_state.forget fs slot);
       vtime = (fun () -> Tag.decode (Flow_state.codec fs) !v);
+      stale = Rank_program.never_stale;
     }
   in
   let s = Pifo_sched.create prog in

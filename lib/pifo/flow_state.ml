@@ -28,9 +28,12 @@ let grow t slot =
   t.sor <- sor
 
 (* Cold path: first packet of a flow activation. The weight function
-   is keyed by flow id; only the cache is per slot. *)
+   is keyed by flow id; only the cache is per slot. [Weights.get] has
+   checked the rate is positive; dividing here rather than calling
+   [Tag.scale_over] keeps the quotient unboxed, so an activation
+   allocates nothing. *)
 let activate t slot pkt =
-  t.sor.(slot) <- Tag.scale_over t.codec ~rate:(Weights.get t.weights pkt.Packet.flow)
+  t.sor.(slot) <- t.scale /. Weights.get t.weights pkt.Packet.flow
 
 (* Unit-returning on purpose: callers re-read [t.sor.(slot)] locally.
    A float-returning helper would box its result on every call

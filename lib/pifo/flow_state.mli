@@ -16,7 +16,11 @@
     snapshots the weight: the weight function is read (by the packet's
     flow id) once per flow activation and cached until {!forget}, which
     is the documented int-tag divergence from the float originals under
-    mid-backlog reweighting. *)
+    mid-backlog reweighting. {!forget} runs when a flow closes, and
+    also when the runtime gives an idle flow's slot back because its
+    tag is stale ({!Rank_program.t.stale}); so a flow that returns after
+    that re-reads its weight, as after a close. With static weights it
+    reads the same value. *)
 
 open Sfq_base
 

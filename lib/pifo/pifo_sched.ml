@@ -17,10 +17,18 @@ type t = {
   tie : Tag_queue.tie;
   arrival : bool;  (* tie = Arrival: the encoded tie is always 0 *)
   (* Flow id -> link-local slot, assigned on a flow's first enqueue and
-     freed by close_flow. Every per-flow structure below and in the
-     program is indexed by slot, so it is sized by the flows this
+     freed by close_flow or a sweep. Every per-flow structure below and
+     in the program is indexed by slot, so it is sized by the flows this
      runtime holds at once, not by the largest flow id. *)
   slots : Slot_map.t;
+  (* A flow without a slot that arrives while [mark] flows hold one
+     first sweeps: every slot with nothing queued whose program state
+     is stale is given back. [owner] maps slot -> flow id (-1: free);
+     it is built by the first sweep, so a runtime that never reaches
+     the mark allocates none of it. *)
+  mutable mark : int;
+  mutable owner : int array;
+  mutable reclaimed : int;  (* slots given back by sweeps *)
   main : Packet.t Iflow_heap.t;  (* unshaped service stage, keyed by slot *)
   shaper : Packet.t Iflow_heap.t;  (* shaped: eligibility stage, keyed by slot *)
   eligible : Iheap.t;  (* shaped: service stage; payload = handle in [store] *)
@@ -100,6 +108,8 @@ let backlog t flow =
   else if t.shaped then if slot < Array.length t.counts then t.counts.(slot) else 0
   else Iflow_heap.backlog t.main slot
 
+let min_mark = 16
+
 let create ?(tie = Tag_queue.Arrival) ?capacity prog =
   let t =
     {
@@ -113,6 +123,12 @@ let create ?(tie = Tag_queue.Arrival) ?capacity prog =
       tie;
       arrival = (match tie with Tag_queue.Arrival -> true | _ -> false);
       slots = Slot_map.create ();
+      (* the shaper's packets are not in [main], so the sweep's
+         empty-ring test would not see them: shaped programs never
+         sweep *)
+      mark = (if prog.Rank_program.shaped then max_int else min_mark);
+      owner = [||];
+      reclaimed = 0;
       main = Iflow_heap.create ?capacity ();
       shaper = Iflow_heap.create ?capacity ();
       eligible = Iheap.create ();
@@ -132,10 +148,62 @@ let create ?(tie = Tag_queue.Arrival) ?capacity prog =
    arrival) at the rail, exactly like the fixed-point schedulers. *)
 let clamp_rank k = if k < 0 then 0 else if k > Tag.max_tag then Tag.max_tag else k
 
+(* The flow has just given [slot] up (-1: it held none). The runtime
+   clears its own per-slot state and the program its own, so the next
+   flow given the slot finds it fresh. close_flow and the sweep share
+   this step; only close_flow flushes first. *)
+let forget t ~now ~slot flow =
+  if slot >= 0 then begin
+    if slot < Array.length t.ties then begin
+      t.ties.(slot) <- 0;
+      t.tie_ok.(slot) <- false
+    end;
+    if slot < Array.length t.owner then t.owner.(slot) <- -1
+  end;
+  t.prog.Rank_program.on_close ~now ~slot flow
+
+let own t slot flow =
+  let n = Array.length t.owner in
+  if slot >= n then begin
+    let owner = Array.make (Stdlib.max min_mark (Stdlib.max (2 * n) (slot + 1))) (-1) in
+    Array.blit t.owner 0 owner 0 n;
+    t.owner <- owner
+  end;
+  t.owner.(slot) <- flow
+
+(* Give back every slot whose ring is empty and whose program state is
+   stale. An empty ring that grew stays in the ring table under its
+   slot, for the next flow given the slot. The next mark is twice the
+   survivors, and at least the survivors plus half the scanned range:
+   so at least max(survivors, range/2) new slots are handed out before
+   the next scan, which keeps the sweep amortized O(1) per new slot. *)
+let sweep t ~now =
+  if Array.length t.owner = 0 then Slot_map.iter t.slots (fun flow slot -> own t slot flow);
+  let owner = t.owner in
+  for slot = 0 to Array.length owner - 1 do
+    let flow = owner.(slot) in
+    if flow >= 0 && Iflow_heap.backlog t.main slot = 0 && t.prog.Rank_program.stale ~now ~slot
+    then begin
+      ignore (Slot_map.remove t.slots flow : int);
+      forget t ~now ~slot flow;
+      t.reclaimed <- t.reclaimed + 1
+    end
+  done;
+  let live = Slot_map.length t.slots in
+  t.mark <- Stdlib.max (2 * live) (live + (Array.length owner / 2))
+
+(* Cold path: the first packet of a flow that holds no slot. *)
+let new_slot t ~now flow =
+  if Slot_map.length t.slots >= t.mark then sweep t ~now;
+  let slot = Slot_map.find_or_add t.slots flow in
+  if Array.length t.owner > 0 then own t slot flow;
+  slot
+
 let enqueue t ~now pkt =
   let flow = pkt.Packet.flow in
   if flow < 0 then invalid_arg "Pifo_sched.enqueue: flow id must be >= 0";
-  let slot = Slot_map.find_or_add t.slots flow in
+  let slot = Slot_map.find t.slots flow in
+  let slot = if slot >= 0 then slot else new_slot t ~now flow in
   let tie = if t.arrival then 0 else tie_of t ~slot flow in
   let key = clamp_rank (t.rank ~now ~slot pkt) in
   if key > t.high then t.high <- key;
@@ -278,9 +346,6 @@ let evict t victim flow =
     in
     match popped with None -> None | Some p -> Some p.Iflow_heap.value
 
-(* Closing frees the flow's slot, so the next flow given it must find
-   it fresh: the runtime clears its own per-slot state here and the
-   program clears its own in [on_close]. *)
 let close_flow t ~now flow =
   let slot = Slot_map.remove t.slots flow in
   let flushed =
@@ -304,13 +369,11 @@ let close_flow t ~now flow =
     end
     else List.map (fun p -> p.Iflow_heap.value) (Iflow_heap.flush_flow t.main slot)
   in
-  if slot >= 0 && slot < Array.length t.ties then begin
-    t.ties.(slot) <- 0;
-    t.tie_ok.(slot) <- false
-  end;
-  t.prog.Rank_program.on_close ~now ~slot flow;
+  forget t ~now ~slot flow;
   flushed
 
+let slots t = Slot_map.length t.slots
+let reclaimed t = t.reclaimed
 let vtime t = t.prog.Rank_program.vtime ()
 let high_tag t = t.high
 let saturated t = Tag.is_saturated t.high

@@ -13,16 +13,35 @@
 
     Flow slots: a flow gets a small link-local slot
     ({!Sfq_util.Slot_map}) on its first enqueue and gives it up in
-    {!close_flow}; a freed slot is the next one handed out. The tie
-    cache, the shaped backlog counts, the [Iflow_heap] rings and the
-    program's own per-flow arrays (through the [~slot] argument of
-    {!Rank_program.t.rank} and {!Rank_program.t.on_close}) are all
-    indexed by slot. So one instance's memory is sized by the flows it
-    holds at once — on a network link, the flows that link carries —
-    not by the largest flow id anywhere. {!backlog}, {!evict} and
-    {!close_flow} only look a flow's slot up; they never assign one.
-    Slots change no order: service is by [(rank, tie, uid)], and the
-    tie value is still computed from the flow id.
+    {!close_flow}, or earlier, once it has nothing queued and its
+    program state is stale ({!Rank_program.t.stale}); a freed slot is
+    the next one handed out. The tie cache, the shaped backlog counts,
+    the [Iflow_heap] rings and the program's own per-flow arrays
+    (through the [~slot] argument of {!Rank_program.t.rank} and
+    {!Rank_program.t.on_close}) are all indexed by slot. So one
+    instance's memory is sized by the flows that can still affect a
+    rank — on a network link, the flows it carries that are queued or
+    still charged ahead of the clock — not by every flow it ever
+    carried, nor by the largest flow id anywhere. {!backlog}, {!evict}
+    and {!close_flow} only look a flow's slot up; they never assign
+    one. Slots change no order: service is by [(rank, tie, uid)], and
+    the tie value is still computed from the flow id.
+
+    Stale slots come back in sweeps, run only where a table would
+    otherwise grow: when a flow without a slot arrives while the
+    {e sweep mark} (initially 16) flows hold one, every slot whose
+    ring is empty and whose state is stale is given back — what
+    {!close_flow} does, minus the flush; an empty ring that grew stays
+    with its slot for the next flow given it. The mark then becomes
+    twice the survivors, or the survivors plus half the slot range if
+    that is more, so a sweep's scan of the slot range is paid for by
+    the new slots handed out before it: amortized O(1) per new slot,
+    and nothing on the per-packet path of a flow that holds a slot. A
+    forgotten flow that returns is activated afresh — its weight and
+    tie are read again, as after a close — so with static weights its
+    ranks are unchanged. Shaped programs never sweep, and a program
+    answering {!Rank_program.never_stale} only ever gives slots back
+    in {!close_flow}.
 
     Layout per stage:
     - unshaped: a single {!Sfq_sched.Iflow_heap} (per-flow FIFO rings,
@@ -76,11 +95,18 @@ val backlog : t -> Packet.flow -> int
 
 val evict : t -> Sched.victim -> Packet.flow -> Packet.t option
 (** [None] for a flow that holds no slot. Keeps the flow's slot (and
-    with it its tags) even when the eviction empties its queue. *)
+    with it its tags) even when the eviction empties its queue, until a
+    sweep finds them stale. *)
 
 val close_flow : t -> now:float -> Packet.flow -> Packet.t list
 (** Flush the flow's packets (oldest first), free its slot and call
     the program's [on_close]. *)
+
+val slots : t -> int
+(** Flows holding a slot now. *)
+
+val reclaimed : t -> int
+(** Slots sweeps have given back so far (closes not counted). *)
 
 val vtime : t -> float
 (** The program's decoded virtual time (0 for clockless programs). *)

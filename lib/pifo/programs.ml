@@ -27,6 +27,9 @@ let sfq ?(busy_rule = Sfq_core.Sfq.Idle_poll) ?frac_bits weights =
     attach = no_attach;
     on_close = (fun ~now:_ ~slot _ -> Flow_state.forget fs slot);
     vtime = (fun () -> Tag.decode (Flow_state.codec fs) !v);
+    (* v never decreases: it follows served start tags, and the busy
+       rules only raise it to the largest served finish tag *)
+    stale = (fun ~now:_ ~slot -> Flow_state.get fs slot <= !v);
   }
 
 let scfq ?frac_bits weights =
@@ -54,6 +57,9 @@ let scfq ?frac_bits weights =
     attach = no_attach;
     on_close = (fun ~now:_ ~slot _ -> Flow_state.forget fs slot);
     vtime = (fun () -> Tag.decode (Flow_state.codec fs) !v);
+    (* v never decreases within a busy period, and the idle reset
+       zeroes every tag anyway *)
+    stale = (fun ~now:_ ~slot -> Flow_state.get fs slot <= !v);
   }
 
 let virtual_clock ?frac_bits weights =
@@ -74,6 +80,8 @@ let virtual_clock ?frac_bits weights =
     attach = no_attach;
     on_close = (fun ~now:_ ~slot _ -> Flow_state.forget fs slot);
     vtime = no_vtime;
+    (* the EAT floor only matters while it is ahead of real time *)
+    stale = (fun ~now ~slot -> Flow_state.get fs slot <= Flow_state.now_tag fs now);
   }
 
 let delay_edd ?frac_bits specs =
@@ -116,6 +124,7 @@ let delay_edd ?frac_bits specs =
     (* the spec stays (configuration, not state); the EAT floor resets *)
     on_close = (fun ~now:_ ~slot _ -> Flow_state.forget fs slot);
     vtime = no_vtime;
+    stale = (fun ~now ~slot -> Flow_state.get fs slot <= Flow_state.now_tag fs now);
   }
 
 let lstf ?frac_bits ?(residual = fun _ -> 0.0) ~deadline () =
@@ -148,6 +157,8 @@ let lstf ?frac_bits ?(residual = fun _ -> 0.0) ~deadline () =
        deadlines *)
     on_close = (fun ~now:_ ~slot:_ flow -> Hashtbl.remove floor flow);
     vtime = no_vtime;
+    (* the floor is keyed by flow id: only a close may forget it *)
+    stale = never_stale;
   }
 
 let fqs ~capacity ?frac_bits weights =
@@ -173,6 +184,7 @@ let fqs ~capacity ?frac_bits weights =
        forget the flow fluid-side *)
     on_close = (fun ~now ~slot:_ flow -> Gps.forget_flow gps ~now flow);
     vtime = no_vtime;
+    stale = never_stale;
   }
 
 let wf2q ~capacity ?frac_bits weights =
@@ -198,4 +210,5 @@ let wf2q ~capacity ?frac_bits weights =
     attach = (fun f -> size_ref := f);
     on_close = (fun ~now ~slot:_ flow -> Gps.forget_flow gps ~now flow);
     vtime = no_vtime;
+    stale = never_stale;
   }

@@ -13,6 +13,7 @@ type t = {
   attach : (unit -> int) -> unit;
   on_close : now:float -> slot:int -> Packet.flow -> unit;
   vtime : unit -> float;
+  stale : now:float -> slot:int -> bool;
 }
 
 let regs () = { aux = 0; eligible = 0 }
@@ -22,3 +23,4 @@ let no_horizon ~now:_ = 0
 let no_attach _ = ()
 let no_close ~now:_ ~slot:_ (_ : Packet.flow) = ()
 let no_vtime () = 0.0
+let never_stale ~now:_ ~slot:_ = false

@@ -25,8 +25,11 @@
     the served entry's ordering fields — SFQ sets [v] to the served
     start tag here) and {!t.on_idle} (called whenever the runtime is
     polled while empty — the busy-period rules of §2 of the paper).
-    The PR 5 lifecycle arrives through {!t.on_close}; eviction needs no
+    The flow lifecycle arrives through {!t.on_close}; eviction needs no
     hook because no shipped discipline rolls tags back on evict.
+    {!t.stale} lets the runtime give an idle flow's slot back before
+    the flow closes, once the program proves its state can change no
+    later rank.
 
     Two-stage (shaped) disciplines such as WF²Q set {!t.shaped}: the
     rank call then also deposits an {e eligibility} rank in
@@ -85,6 +88,26 @@ type t = {
   vtime : unit -> float;
       (** decoded virtual time, for the oracle monitors; programs
           without a virtual clock return 0. *)
+  stale : now:float -> slot:int -> bool;
+      (** may the runtime forget this slot's flow now? The runtime asks
+          only about a slot that holds a flow with nothing queued, and
+          on a [true] it does what {!Pifo_sched.close_flow} does minus
+          the flush: frees the slot and calls [on_close ~now ~slot].
+
+          Proof obligation: return [true] only when calling [on_close]
+          now would change nothing the program computes later — no
+          rank, no {!regs} output, no [vtime] — for any continuation
+          whose [now] does not decrease (the {!Sched} contract) and in
+          which the flow's weight does not change. A flow the runtime
+          forgets re-enters as a new one: fresh per-slot state, its
+          weight and tie read again. So a program whose [on_close]
+          forgets state keyed by flow id (LSTF's floor, the GPS
+          clocks) must answer {!never_stale}.
+
+          Eq. 4 is what makes SFQ-shaped programs stale: a packet's tag
+          is [max (clock, F_prev)], so once a clock that never decreases
+          has reached the flow's stored tag, [max (clock', F_prev)] and
+          [max (clock', 0)] agree for every later [clock']. *)
 }
 
 val regs : unit -> regs
@@ -99,3 +122,7 @@ val no_horizon : now:float -> int
 val no_attach : (unit -> int) -> unit
 val no_close : now:float -> slot:int -> Packet.flow -> unit
 val no_vtime : unit -> float
+
+val never_stale : now:float -> slot:int -> bool
+(** Always [false]: the runtime frees the program's slots only in
+    [close_flow]. *)

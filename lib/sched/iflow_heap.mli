@@ -87,12 +87,14 @@ val active_flows : 'a t -> int
 val evict_front : 'a t -> Packet.flow -> 'a popped option
 (** Remove [flow]'s oldest queued entry (its head), promoting the
     successor into the heap; [None] if the flow has nothing queued.
-    O(F) heap scan — eviction is a buffer-overflow path, not the
-    per-packet hot path. *)
+    O(log F) when [flow] is the next to serve (its entry is the heap
+    root), else an O(F) heap scan — eviction is a buffer-overflow path,
+    not the per-packet hot path. *)
 
 val evict_back : 'a t -> Packet.flow -> 'a popped option
 (** Remove [flow]'s newest queued entry (its tail). O(1) unless the
-    flow empties (then its heap entry is removed, O(F)). *)
+    flow empties (then its heap entry is removed: O(log F) at the
+    root, else O(F)). *)
 
 val flush_flow : 'a t -> Packet.flow -> 'a popped list
 (** Remove every queued entry of [flow], oldest first, and take its

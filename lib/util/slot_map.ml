@@ -126,3 +126,9 @@ let remove t k =
       push_free t s;
       s
     end
+
+let iter t f =
+  for i = 0 to (Array.length t.cells / 2) - 1 do
+    let k = t.cells.(2 * i) in
+    if k <> empty then f k t.cells.((2 * i) + 1)
+  done

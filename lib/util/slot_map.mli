@@ -34,3 +34,7 @@ val remove : t -> int -> int
 
 val length : t -> int
 (** Keys currently holding a slot. *)
+
+val iter : t -> (int -> int -> unit) -> unit
+(** [iter t f] calls [f key slot] for every key holding a slot, in
+    bucket order. [f] must not add or remove keys. *)

@@ -306,14 +306,28 @@ let scenario_weights (s : Net_sweep.scenario) =
   let r_bg = c_min /. (4.0 *. float_of_int (max 1 bg_ids)) in
   Weights.of_list ~default:r_bg (List.init s.reserved (fun i -> (i, r_res)))
 
-(* Bytes the link schedulers grew by over a churned-star run, per live
-   id. The same ids are live at every leaf count, so a star with 32x
-   the links carries the same flows, spread thinner. *)
-let grown_bytes_per_id ~leaves =
-  let s =
-    Net_sweep.scale_star ~flows:40_000 ~window:4096 ~leaves
-      ~disc:Sfq_experiments.Disc.Pifo_sfq ()
-  in
+(* A small cell shaped like the tree-buffered benchmark workload: 4x3
+   tree, drop-front buffers, 8 packets per flow. *)
+let tree_cell ?(flows = 256) () =
+  Net_sweep.scenario ~label:"tree-buffered-small"
+    ~spec:(Topo.Tree { arity = 4; depth = 3 })
+    ~disc:Sfq_experiments.Disc.Pifo_sfq ~flows ~pkts_per_flow:8 ~load:1.1
+    ~access_rate:262_144.0
+    ~buffer:(Buffered.config ~per_flow:8 ~aggregate:1024 ~policy:Buffered.Drop_front ())
+    ~reserved:4 ~seed:7 ()
+
+(* Pins on link-scheduler growth, just above today's counts (7.04 and
+   178.35 B per live id, 2832 B per added link, 21.98 B per added
+   flow). The counts are exact: the runs are deterministic and
+   [Obj.reachable_words] counts words, not pages. *)
+let pin_8 = 7.5
+let pin_256 = 185.0
+let pin_link = 2900.0
+let pin_tree = 23.0
+
+(* Bytes the link schedulers grew by over a run of [s], the number of
+   links, and the run's outcome. *)
+let link_growth (s : Net_sweep.scenario) =
   let weights = scenario_weights s in
   let links = ref [] and at_creation = ref 0 in
   let words x = Obj.reachable_words (Obj.repr x) in
@@ -326,17 +340,58 @@ let grown_bytes_per_id ~leaves =
   let o = Net_sweep.run_raw ~mk_link s in
   check_int "drained" 0 o.Net_sweep.in_flight;
   let grown = List.fold_left (fun acc l -> acc + words l) 0 !links - !at_creation in
-  float_of_int (grown * (Sys.word_size / 8)) /. float_of_int o.Net_sweep.peak_live
+  (grown * (Sys.word_size / 8), List.length !links, o)
 
+(* A churned 40k-flow star: the same ids are live at every leaf count,
+   so a star with 32x the links carries the same flows, spread
+   thinner. Returns the growth, the links and the peak of live ids. *)
+let churned_star_growth ~leaves =
+  let grown, links, o =
+    link_growth
+      (Net_sweep.scale_star ~flows:40_000 ~window:4096 ~leaves
+         ~disc:Sfq_experiments.Disc.Pifo_sfq ())
+  in
+  (grown, links, o.Net_sweep.peak_live)
+
+(* Link state grows with the flows that can still move a rank, not with
+   the id space nor with the flows ever carried. Link schedulers sized
+   by flow id grew 1314 B per live id at 8 leaves and 9821 at 256; with
+   slots freed only on close, 233 and 335. A stale flow's slot now comes
+   back before the flow closes, so the per-id pins sit just above
+   today's 7 and 178 B. What remains at 256 leaves is per-link fixed
+   cost, bounded per added link. *)
 let test_link_memory_scales_with_carried_flows () =
-  let few = grown_bytes_per_id ~leaves:8 and many = grown_bytes_per_id ~leaves:256 in
-  Printf.printf "link scheduler growth per live id: %.0f B at 8 leaves, %.0f B at 256 (%.2fx)\n"
-    few many (many /. few);
+  let g8, links8, live8 = churned_star_growth ~leaves:8
+  and g256, links256, live256 = churned_star_growth ~leaves:256 in
+  let per_id g live = float_of_int g /. float_of_int live in
+  let few = per_id g8 live8 and many = per_id g256 live256 in
+  let per_link = float_of_int (g256 - g8) /. float_of_int (links256 - links8) in
+  Printf.printf
+    "link scheduler growth per live id: %.2f B at 8 leaves, %.2f B at 256; %.1f B per added \
+     link\n"
+    few many per_link;
+  check_bool (Printf.sprintf "8 leaves grow %.2f B/id <= %g" few pin_8) true (few <= pin_8);
+  check_bool (Printf.sprintf "256 leaves grow %.2f B/id <= %g" many pin_256) true
+    (many <= pin_256);
   check_bool
-    (Printf.sprintf "256 leaves grow %.0f B/id, at most 1.5x the %.0f B/id of 8 leaves" many
-       few)
-    true
-    (many <= 1.5 *. few)
+    (Printf.sprintf "each added link grows %.1f B <= %g" per_link pin_link)
+    true (per_link <= pin_link)
+
+(* An unchurned tree shaped like the tree-buffered budget cell: its
+   flows never close. While slots came back only on close, every link
+   kept one for every flow it ever carried, 387 B per added flow. *)
+let test_unchurned_tree_memory () =
+  let grown flows =
+    let g, _, _ = link_growth (tree_cell ~flows ()) in
+    g
+  in
+  let small = grown 1024 and large = grown 4096 in
+  let per_flow = float_of_int (large - small) /. float_of_int (4096 - 1024) in
+  Printf.printf "unchurned tree link growth: %d B at 1024 flows, %d B at 4096: %.2f B per added flow\n"
+    small large per_flow;
+  check_bool
+    (Printf.sprintf "%.2f B per added flow <= %g" per_flow pin_tree)
+    true (per_flow <= pin_tree)
 
 (* ------------------------------------------------------------------ *)
 (* Exact-count budgets: what one delivered packet costs the host path
@@ -357,14 +412,6 @@ type budget = {
 }
 
 let star_cell () = Net_sweep.scale_star ~flows:20_000 ~window:256 ~seed:7 ()
-
-let tree_cell () =
-  Net_sweep.scenario ~label:"tree-buffered-small"
-    ~spec:(Topo.Tree { arity = 4; depth = 3 })
-    ~disc:Sfq_experiments.Disc.Pifo_sfq ~flows:256 ~pkts_per_flow:8 ~load:1.1
-    ~access_rate:262_144.0
-    ~buffer:(Buffered.config ~per_flow:8 ~aggregate:1024 ~policy:Buffered.Drop_front ())
-    ~reserved:4 ~seed:7 ()
 
 (* Every call into a link scheduler, counted. *)
 let counting calls (s : Sched.t) =
@@ -636,6 +683,8 @@ let () =
         [
           Alcotest.test_case "link state scales with carried flows" `Quick
             test_link_memory_scales_with_carried_flows;
+          Alcotest.test_case "unchurned tree: link state per added flow" `Quick
+            test_unchurned_tree_memory;
         ] );
       ( "budgets",
         [

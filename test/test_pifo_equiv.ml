@@ -359,7 +359,15 @@ let test_port_digests_across_domains () =
    plentiful (every flow starts at 0), exercising FIFO-stable
    tie-breaking by global arrival order.                                *)
 
-type mop = MPush of int * int | MPop | MEvict of bool * int | MClose of int
+(* [MEvict_next] evicts from the flow whose head is served next: its
+   heap entry is the root, the drop-front victim of an aggregate
+   overflow. *)
+type mop =
+  | MPush of int * int
+  | MPop
+  | MEvict of bool * int
+  | MEvict_next of bool
+  | MClose of int
 
 let gen_mop =
   QCheck.Gen.(
@@ -368,6 +376,7 @@ let gen_mop =
         (5, map2 (fun f l -> MPush (f, 100 * (1 + l))) (int_bound 2) (int_bound 9));
         (4, return MPop);
         (1, map2 (fun newest f -> MEvict (newest, f)) bool (int_bound 2));
+        (2, map (fun newest -> MEvict_next newest) bool);
         (1, map (fun f -> MClose f) (int_bound 2));
       ])
 
@@ -380,6 +389,7 @@ let arb_mops =
              | MPush (f, l) -> Printf.sprintf "push(%d,%d)" f l
              | MPop -> "pop"
              | MEvict (n, f) -> Printf.sprintf "evict(%b,%d)" n f
+             | MEvict_next n -> Printf.sprintf "evict_next(%b)" n
              | MClose f -> Printf.sprintf "close(%d)" f)
            ops))
     QCheck.Gen.(list_size (int_range 1 200) gen_mop)
@@ -404,6 +414,7 @@ let counter_prog () =
     attach = Rank_program.no_attach;
     on_close = (fun ~now:_ ~slot:_ f -> Hashtbl.remove tags f);
     vtime = Rank_program.no_vtime;
+    stale = Rank_program.never_stale;
   }
 
 (* Reference: entries in push order; service order is the stable sort
@@ -429,6 +440,23 @@ let prop_runtime_matches_sorted_list =
           None !model
       in
       let remove e = model := List.filter (fun x -> x != e) !model in
+      let evict newest f =
+        let got = Pifo.evict t (if newest then Sched.Newest else Sched.Oldest) f in
+        let mine = List.filter (fun e -> e.mpkt.Packet.flow = f) !model in
+        let want =
+          (* newest first in [model], so hd = newest of the flow *)
+          match mine with
+          | [] -> None
+          | hd :: _ when newest -> Some hd
+          | l -> Some (List.nth l (List.length l - 1))
+        in
+        match (got, want) with
+        | None, None -> ()
+        | Some p, Some e when p == e.mpkt -> remove e
+        | got, want ->
+          fail "evict flow %d: runtime %s, model %s" f (pkt_str got)
+            (pkt_str (Option.map (fun e -> e.mpkt) want))
+      in
       List.iter
         (fun op ->
           match op with
@@ -448,22 +476,11 @@ let prop_runtime_matches_sorted_list =
             | got, want ->
               fail "pop: runtime %s, model %s" (pkt_str got)
                 (pkt_str (Option.map (fun e -> e.mpkt) want)))
-          | MEvict (newest, f) -> (
-            let got = Pifo.evict t (if newest then Sched.Newest else Sched.Oldest) f in
-            let mine = List.filter (fun e -> e.mpkt.Packet.flow = f) !model in
-            let want =
-              (* newest first in [model], so hd = newest of the flow *)
-              match mine with
-              | [] -> None
-              | hd :: _ when newest -> Some hd
-              | l -> Some (List.nth l (List.length l - 1))
-            in
-            match (got, want) with
-            | None, None -> ()
-            | Some p, Some e when p == e.mpkt -> remove e
-            | got, want ->
-              fail "evict flow %d: runtime %s, model %s" f (pkt_str got)
-                (pkt_str (Option.map (fun e -> e.mpkt) want)))
+          | MEvict (newest, f) -> evict newest f
+          | MEvict_next newest -> (
+            match model_min () with
+            | Some e -> evict newest e.mpkt.Packet.flow
+            | None -> evict newest 0)
           | MClose f ->
             let got = Pifo.close_flow t ~now:0.0 f in
             let want =
@@ -507,6 +524,164 @@ let test_fifo_stable_ties () =
   check_bool "drained" true (Pifo.is_empty t)
 
 (* ------------------------------------------------------------------ *)
+(* Stale slots: a runtime that gives a drained flow's slot back once the
+   program calls its state stale must answer every call exactly like
+   the same program that never does. Streams run 24-64 flows through a
+   window of ten that slides along the ids and wraps, so flows go quiet
+   and return; with the sweep mark at 16, sweeps fire.                 *)
+
+type xop =
+  | XEnq of int * int * int option  (* window offset, length, rate override *)
+  | XDeq
+  | XPeek
+  | XEvict of bool * int  (* newest?, window offset *)
+  | XClose of int
+  | XGap of int  (* the clock jumps this many quarter seconds *)
+
+type xcase = { nflows : int; rates : int array; xops : (int * xop) list }
+
+let gen_xcase =
+  QCheck.Gen.(
+    let xop =
+      frequency
+        [
+          ( 9,
+            map3
+              (fun o l r -> XEnq (o, 100 * (1 + l), r))
+              (int_bound 9) (int_bound 14)
+              (opt ~ratio:0.25 (int_bound (Array.length dyadic_rates - 1))) );
+          (8, return XDeq);
+          (1, return XPeek);
+          (1, map2 (fun n o -> XEvict (n, o)) bool (int_bound 9));
+          (1, map (fun o -> XClose o) (int_bound 9));
+          (1, map (fun k -> XGap k) (int_range 4 80));
+        ]
+    in
+    int_range 24 64 >>= fun nflows ->
+    array_repeat nflows (int_bound (Array.length dyadic_rates - 1)) >>= fun rates ->
+    list_size (int_range 150 400) (pair (int_bound 2) xop) >|= fun xops ->
+    { nflows; rates; xops })
+
+let print_xcase c =
+  Printf.sprintf "%d flows; %s" c.nflows
+    (String.concat ";"
+       (List.map
+          (fun (dt, op) ->
+            Printf.sprintf "+%d:%s" dt
+              (match op with
+              | XEnq (o, l, r) ->
+                Printf.sprintf "enq(%d,%d%s)" o l
+                  (match r with None -> "" | Some r -> Printf.sprintf ",r%d" r)
+              | XDeq -> "deq"
+              | XPeek -> "peek"
+              | XEvict (n, o) -> Printf.sprintf "evict(%b,%d)" n o
+              | XClose o -> Printf.sprintf "close(%d)" o
+              | XGap k -> Printf.sprintf "gap(%d)" k))
+          c.xops))
+
+type stale_config = {
+  cname : string;
+  overrides : bool;  (* honour the stream's rate overrides *)
+  ctie : [ `Arrival | `Low | `High ];
+  mk : (Packet.flow * float) list -> Rank_program.t;
+  swept : int ref;  (* cases in which a sweep gave a slot back *)
+  back : int ref;  (* slots given back, over all cases *)
+}
+
+let stale_configs =
+  let cfg cname ?(overrides = true) ?(ctie = `Arrival) mk =
+    { cname; overrides; ctie; mk; swept = ref 0; back = ref 0 }
+  in
+  let w = Weights.of_list ~default:1.0 in
+  List.concat_map
+    (fun ctie ->
+      List.concat_map
+        (fun (bname, busy_rule) ->
+          List.map
+            (fun overrides ->
+              cfg
+                (Printf.sprintf "pifo-sfq[%s/%s%s]" (tie_name ctie) bname
+                   (if overrides then "/overrides" else ""))
+                ~overrides ~ctie
+                (fun ws -> Programs.sfq ~busy_rule (w ws)))
+            [ false; true ])
+        [ ("idle_poll", Sfq.Idle_poll); ("on_empty", Sfq.On_empty) ])
+    ties
+  @ [
+      cfg "pifo-scfq" (fun ws -> Programs.scfq (w ws));
+      cfg "pifo-vc" (fun ws -> Programs.virtual_clock (w ws));
+      cfg "pifo-edd" (fun ws -> Programs.delay_edd (edd_specs ws));
+    ]
+
+let run_stale_pair cfg c =
+  let ws = List.init c.nflows (fun f -> (f, dyadic_rates.(c.rates.(f)))) in
+  let tie = tie_of (Weights.of_list ~default:1.0 ws) cfg.ctie in
+  let a = Pifo.create ~tie (cfg.mk ws) in
+  let b = Pifo.create ~tie { (cfg.mk ws) with Rank_program.stale = Rank_program.never_stale } in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let same_opt what i x y =
+    if not (popt_equal x y) then fail "op %d %s: swept %s, kept %s" i what (pkt_str x) (pkt_str y)
+  in
+  let seqs = Array.make c.nflows 0 in
+  let now = ref 0.0 in
+  List.iteri
+    (fun i (dt, op) ->
+      let dt = match op with XGap k -> dt + k | _ -> dt in
+      now := !now +. (0.25 *. float_of_int dt);
+      let now = !now in
+      let flow o = ((i / 6) + o) mod c.nflows in
+      (match op with
+      | XEnq (o, len, r) ->
+        let f = flow o in
+        seqs.(f) <- seqs.(f) + 1;
+        let rate =
+          match r with Some r when cfg.overrides -> Some dyadic_rates.(r) | _ -> None
+        in
+        let p = Packet.make ?rate ~flow:f ~seq:seqs.(f) ~len ~born:now () in
+        Pifo.enqueue a ~now p;
+        Pifo.enqueue b ~now p
+      | XDeq -> same_opt "dequeue" i (Pifo.dequeue a ~now) (Pifo.dequeue b ~now)
+      | XPeek -> same_opt "peek" i (Pifo.peek a) (Pifo.peek b)
+      | XEvict (newest, o) ->
+        let v = if newest then Sched.Newest else Sched.Oldest in
+        same_opt "evict" i (Pifo.evict a v (flow o)) (Pifo.evict b v (flow o))
+      | XClose o ->
+        let x = Pifo.close_flow a ~now (flow o) and y = Pifo.close_flow b ~now (flow o) in
+        if List.length x <> List.length y || not (List.for_all2 ( == ) x y) then
+          fail "op %d close flow %d: %d vs %d packets (or order differs)" i (flow o)
+            (List.length x) (List.length y)
+      | XGap _ -> ());
+      if Pifo.size a <> Pifo.size b then
+        fail "op %d: size %d vs %d" i (Pifo.size a) (Pifo.size b);
+      if Pifo.vtime a <> Pifo.vtime b then
+        fail "op %d: vtime %h vs %h" i (Pifo.vtime a) (Pifo.vtime b);
+      for f = 0 to c.nflows - 1 do
+        if Pifo.backlog a f <> Pifo.backlog b f then
+          fail "op %d: backlog of flow %d %d vs %d" i f (Pifo.backlog a f) (Pifo.backlog b f)
+      done)
+    c.xops;
+  if Pifo.reclaimed b <> 0 then fail "never_stale gave %d slots back" (Pifo.reclaimed b);
+  if Pifo.reclaimed a > 0 then begin
+    incr cfg.swept;
+    cfg.back := !(cfg.back) + Pifo.reclaimed a
+  end;
+  true
+
+(* Fixed seed, so the non-vacuity counts below are reproducible. *)
+let test_stale_exact () =
+  let cases = 100 in
+  List.iter
+    (fun cfg ->
+      QCheck.Test.check_exn ~rand:(Random.State.make [| 28 |])
+        (QCheck.Test.make ~count:cases ~name:cfg.cname
+           (QCheck.make ~print:print_xcase gen_xcase)
+           (run_stale_pair cfg));
+      Printf.printf "%s: %d of %d cases swept, %d slots given back\n" cfg.cname !(cfg.swept)
+        cases !(cfg.back);
+      check_bool (cfg.cname ^ ": some sweep gave a slot back") true (!(cfg.back) > 0))
+    stale_configs
+
+(* ------------------------------------------------------------------ *)
 (* Allocation: the unshaped runtime hot path allocates nothing in
    steady state.                                                        *)
 
@@ -548,8 +723,9 @@ let test_zero_alloc_steady_state () =
 
 (* A churned link's lifecycle: every cycle a new flow arrives, is
    served and closes, ids rotating through a window. Slots, rings and
-   per-flow state are all reused, so the words that remain are the
-   weight read at each flow's activation. *)
+   per-flow state are all reused, and an activation stores its rate
+   unboxed, so a cycle allocates nothing (it cost the boxed rate, 2
+   words, while activation went through [Tag.scale_over]). *)
 let test_lifecycle_alloc () =
   let ids = 1024 in
   let t = Pifo.create (Programs.sfq (Weights.uniform 100.0)) in
@@ -590,6 +766,35 @@ let test_backlog_zero_alloc () =
   check_int "backlog kept" (flows * depth) (Pifo.size t);
   check_bool (Printf.sprintf "%.0f minor words over 10k op pairs at depth" d) true (d = 0.0)
 
+(* Flows that each send one packet, are served, and go idle: the idle
+   poll lifts v to the finish tag, so a sweep finds every drained flow
+   stale. Warm, the sweeps give slots back without allocating — the
+   slot bookkeeping, the free stack and the 8-slot rings are all
+   reused, and a flow's activation reads its weight into an unboxed
+   array — and the runtime holds slots for about 16 flows, not for
+   every id it saw. *)
+let test_sweep_zero_alloc () =
+  let ids = 1024 in
+  let t = Pifo.create (Programs.sfq (Weights.uniform 100.0)) in
+  let pkts =
+    Array.init ids (fun f -> Packet.make ~flow:(f * 37) ~seq:1 ~len:1000 ~born:0.0 ())
+  in
+  let i = ref 0 in
+  let step () =
+    Pifo.enqueue t ~now:0.0 pkts.(!i);
+    ignore (Pifo.dequeue_exn t);
+    ignore (Pifo.dequeue t ~now:0.0 : Packet.t option);
+    i := (!i + 1) land (ids - 1)
+  in
+  let d = alloc_delta step in
+  (* 12k cycles, one new flow each *)
+  check_bool
+    (Printf.sprintf "%d slots given back by sweeps" (Pifo.reclaimed t))
+    true
+    (Pifo.reclaimed t >= 11_900);
+  check_bool (Printf.sprintf "%d flows hold a slot" (Pifo.slots t)) true (Pifo.slots t <= 16);
+  check_bool (Printf.sprintf "%.0f minor words over 10k sweeping cycles" d) true (d = 0.0)
+
 (* ------------------------------------------------------------------ *)
 (* Rank clamping: user programs cannot wrap the order.                  *)
 
@@ -610,6 +815,7 @@ let const_rank_prog ranks =
     attach = Rank_program.no_attach;
     on_close = Rank_program.no_close;
     vtime = Rank_program.no_vtime;
+    stale = Rank_program.never_stale;
   }
 
 let test_rank_saturation_rail () =
@@ -672,6 +878,12 @@ let () =
           Alcotest.test_case "flow lifecycle <= 3 words per cycle" `Quick test_lifecycle_alloc;
           Alcotest.test_case "sched-backlog shape: zero-alloc at depth" `Quick
             test_backlog_zero_alloc;
+          Alcotest.test_case "warm sweeps give slots back with zero alloc" `Quick
+            test_sweep_zero_alloc;
+        ] );
+      ( "stale",
+        [
+          Alcotest.test_case "sweeping == never_stale, op for op" `Quick test_stale_exact;
         ] );
       ( "saturation",
         [

@@ -787,7 +787,14 @@ let prop_slot_map_model =
               let got = Slot_map.find m k in
               if got <> s then
                 fail "after %s: key %d has slot %d, model %d" (slot_op_print op) k got s)
-            model)
+            model;
+          (* and [iter] visits exactly the model's pairs *)
+          let seen = ref [] in
+          Slot_map.iter m (fun k s -> seen := (k, s) :: !seen);
+          let want = Hashtbl.fold (fun k s acc -> (k, s) :: acc) model [] in
+          if List.sort compare !seen <> List.sort compare want then
+            fail "after %s: iter visits %d pairs, model has %d" (slot_op_print op)
+              (List.length !seen) (List.length want))
         ops;
       true)
 
