@@ -1,5 +1,5 @@
 (** Parser and schema checker for [BENCH_sched.json], the machine-readable
-    bench trajectory emitted by [main.exe micro]. Split out of the
+    bench trajectory emitted by [bench/main.exe]. Split out of the
     [validate_bench_json] CLI so unit tests can exercise acceptance and
     rejection without spawning a process.
 
@@ -28,46 +28,25 @@ val field : string -> json -> json
 (** [field name obj] extracts a member.
     @raise Bad if [obj] is not an object or lacks [name]. *)
 
-val check_rows : series:string -> depth:bool -> json -> unit
-(** Validate one scaling series: a non-empty array of rows, each with a
-    string [discipline], a positive-integer [flows], positive-or-null
-    [ns_per_packet]/[ns_p50]/[ns_p99], and (when [depth]) a
-    positive-integer [depth].
-    @raise Bad on the first offending row. *)
-
-val disabled_overhead_limit_pct : float
-(** The budget the disabled-tracer mode must stay under (5%): the
-    observability layer's promise that leaving the wrapper installed in
-    a production build costs nothing measurable. *)
+val disabled_ratio_limit : float
+(** 1.05: the disabled tracer's claim, under 5% over an untraced twin.
+    The file fails when the disabled row's [ratio_p25] reaches it, that
+    is, when the whole interquartile band of the per-round ratios lies
+    past the claim. *)
 
 val validate : string -> (unit, string) result
 (** [validate contents] checks a whole document: well-formed JSON,
-    [schema = "sfq-bench-sched/8"] (the previous /7 is rejected as
-    stale — a /8 file carries the float originals and sp-pifo in its
-    [pifo] series), a [meta] block with non-empty
-    [git_sha]/[timestamp_utc]/[hostname] and a positive-integer
-    [domains], the [flow_scaling] and [depth_scaling] series, a
-    [pifo] series carrying each pifo-sfq/pifo-scfq/pifo-vc rank
-    program beside its float original (sfq/scfq/virtual-clock) and
-    sp-pifo — in which pifo-sfq must report exactly zero allocations
-    per packet and every sp-pifo row must carry its positive
-    measured-unfairness budget and fairness bound — a
-    [tracing_overhead] series carrying all four modes
-    (untraced/disabled/ring/jsonl) whose disabled row must respect
-    {!disabled_overhead_limit_pct}, and a
-    [parallel] series (the serial-vs-pool oracle-sweep timing) every
-    row of which must carry [identical = true] — the witness that the
-    parallel sweep reproduced the serial digest byte for byte — and a
-    [netsim] series (E27 whole-network scale: churned-star rows for
-    sfq and pifo-sfq, both required) whose [packets_per_sec] must be
-    positive and whose [peak_rss_kb] (a
-    positive integer, or null only where /proc is unavailable) must
-    not exceed the row's own [rss_bound_kb] — the "memory is bounded
-    by the churn window, not the flow count" gate — and a [replay]
-    series (E28's schedule-replay scoreboard: one row per tier with
-    integer [cells]/[ok] counts, all four tiers
-    single/net/control/kills required) in which the single, net and
-    kills tiers must be all-ok (LSTF replays every recording; both
-    seeded mutants die) and the control tier must have at least one
-    diverging cell — a vacuous negative control invalidates the file.
+    [schema = "sfq-bench-sched/9"] (the previous /8 is rejected as
+    stale), a [meta] block with non-empty
+    [git_sha]/[timestamp_utc]/[hostname], and three non-empty series:
+    - [flow_scaling] and [depth_scaling] (E14): a string [discipline],
+      a positive-integer [flows] (and [depth]), and a positive
+      [ns_per_packet] with its quartiles [ns_p25]/[ns_p75];
+    - [tracing_overhead] (E22): one row per mode, disabled, ring and
+      jsonl, each with positive-integer [flows]/[depth], a positive
+      [untraced_ns_per_packet], the traced run's [ns_per_packet] band
+      and the [ratio] band ([ratio_p25]/[ratio_p75]) of traced to
+      untraced per round. The disabled row's [ratio_p25] must stay under
+      {!disabled_ratio_limit}.
+    Every band must be ordered, [p25 <= median <= p75].
     Returns [Error msg] instead of raising. *)

@@ -1,5 +1,5 @@
-(* Smoke validator for BENCH_sched.json (the `bench-quick` alias runs
-   it after `main.exe micro quick`): thin CLI over Bench_json, which
+(* Validator for BENCH_sched.json (the `bench-quick` alias runs it
+   after `main.exe quick`): thin CLI over Bench_json, which
    holds the strict parser and the schema checks so the test suite can
    exercise them directly.
 

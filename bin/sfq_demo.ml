@@ -1,7 +1,7 @@
 (* CLI driver: run any single experiment from DESIGN.md's index.
    `sfq-demo list` shows the experiment ids; `sfq-demo run <id>` runs
-   one; `sfq-demo all` runs everything (what bench/main.exe also does,
-   minus the Bechamel micro-benchmarks). *)
+   one; `sfq-demo all` runs everything, reproducing every table and
+   figure of the paper (`--quick` for smaller workloads). *)
 
 open Sfq_experiments
 

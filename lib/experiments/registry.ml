@@ -206,9 +206,26 @@ let compact_lstf ?seed () =
     (r.Lstf_replay.single @ r.Lstf_replay.net @ r.Lstf_replay.control
    @ r.Lstf_replay.kills)
 
+(* SP-PIFO's measured fairness budget: the approximate scheduler
+   replayed over the theorem pool under the relaxed Theorem-1 oracle,
+   keeping the pair that exceeds the exact-SFQ bound the most. *)
+let sp_pifo_budget () =
+  let open Sfq_oracle in
+  List.fold_left
+    (fun (worst : Monitor.fairness_budget) (w : Workload.t) ->
+      let s =
+        Sfq_pifo.Sp_pifo.create (Sfq_base.Weights.of_list ~default:1.0 w.Workload.weights)
+      in
+      let m, budget = Monitor.fairness_measured ~rate:(Workload.rate_of w) () in
+      ignore (Run.fixed_rate ~sched:(Sfq_pifo.Sp_pifo.sched s) ~monitors:[ m ] w);
+      let b = budget () in
+      if b.Monitor.max_excess > worst.Monitor.max_excess then b else worst)
+    Monitor.empty_budget (Suite.theorem_pool ())
+
 (* The oracle acceptance cells: the mutant lines of [Run.sweep_digest]
    as they are, so a changed violation time or text shows in the diff,
-   and one MD5 of [Run.sweep_digest] per [Suite.all_cells] family. *)
+   one MD5 of [Run.sweep_digest] per [Suite.all_cells] family, and
+   SP-PIFO's fairness budget. *)
 let compact_oracle () =
   let open Sfq_oracle in
   let digest cells = Run.sweep_digest cells (Run.sweep cells) in
@@ -231,6 +248,12 @@ let compact_oracle () =
         ("sp-pifo", Suite.sp_pifo_cells ());
         ("pifo", Suite.pifo_cells ());
       ]
+  @
+  let b = sp_pifo_budget () in
+  [
+    Printf.sprintf "oracle.sp-pifo-budget pairs_checked=%d max_h=%h max_bound=%h max_excess=%h"
+      b.Monitor.pairs_checked b.Monitor.max_h b.Monitor.max_bound b.Monitor.max_excess;
+  ]
 
 let compact ~id ?seed ~quick () =
   match id with
@@ -255,7 +278,8 @@ let golden_corpus () =
        "# controls and seeded-mutant kills), and the oracle acceptance cells";
        "# (oracle, one Run.sweep_digest line per seeded mutant, with each";
        "# violation's %h time and text, then one MD5 of Run.sweep_digest per";
-       "# Suite.all_cells family). Per-flow packet counts, service order";
+       "# Suite.all_cells family, then sp-pifo's measured fairness budget";
+       "# over the theorem pool). Per-flow packet counts, service order";
        "# hashes, drop counts and %h-exact headline numbers under the default";
        "# seeds.";
        "# Regenerate after an intentional behavioral change with:";

@@ -201,8 +201,13 @@ let active_flows t = Fheap.length t.heap
    O(F) heap scan only runs when a buffer policy or a flow closure
    actually removes something. *)
 
+(* A flow has one heap entry. When it is the root — a drop-front
+   eviction of the next flow to serve — remove_root takes it without
+   the scan; it moves the same element into the hole as the scan's
+   delete at 0 would, so the layout, and every order, is the same. *)
 let heap_remove t flow =
-  ignore (Fheap.remove_matching t.heap ~pred:(fun f -> f = flow))
+  if Fheap.min_elt_exn t.heap = flow then Fheap.remove_root t.heap
+  else ignore (Fheap.remove_matching t.heap ~pred:(fun f -> f = flow))
 
 let evict_front t flow =
   match Flow_table.find_opt t.rings flow with

@@ -1,10 +1,11 @@
 (* Tests for sfq.obs: tracer ring semantics (flight-recorder
    overwrite), tag-hook wiring and its [active] gating, wrapper
-   transparency, the JSONL and Chrome trace_event exporters (structural
-   validity checked by parsing, not grepping), per-flow summaries, the
-   metrics registry and its Server/Sim wiring, and the oracle
-   cross-check: per-flow service derived from the trace must agree with
-   the Service_log the fairness analysis is built on. *)
+   transparency, the disabled tracer's exact allocation budget, the
+   JSONL and Chrome trace_event exporters (structural validity checked
+   by parsing, not grepping), per-flow summaries, the metrics registry
+   and its Server/Sim wiring, and the oracle cross-check: per-flow
+   service derived from the trace must agree with the Service_log the
+   fairness analysis is built on. *)
 
 open Sfq_base
 open Sfq_core
@@ -178,6 +179,69 @@ let test_wrap_transparent () =
   let traced = drive (Tracer.wrap ~vtime:(fun () -> Sfq.vtime core) tracer (Sfq.sched core)) in
   Alcotest.(check (list (pair int int))) "identical departure order" bare traced;
   check_int "disabled tracer recorded nothing" 0 (Tracer.total tracer)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation: the disabled tracer's exact-count budget                 *)
+
+(* The E22 bench's stepper: float SFQ [depth] deep over [flows] flows;
+   a step enqueues one packet round-robin and dequeues one, with a
+   computed [now]. *)
+let e22_stepper ~flows ~depth (sched : Sched.t) =
+  let seqs = Array.make flows 0 in
+  let now = ref 0.0 in
+  let flow = ref 0 in
+  for f = 0 to flows - 1 do
+    for _ = 1 to depth do
+      seqs.(f) <- seqs.(f) + 1;
+      sched.Sched.enqueue ~now:0.0 (Packet.make ~flow:f ~seq:seqs.(f) ~len:1000 ~born:0.0 ())
+    done
+  done;
+  fun () ->
+    let f = !flow in
+    flow := (f + 1) mod flows;
+    seqs.(f) <- seqs.(f) + 1;
+    now := !now +. 1e-4;
+    sched.Sched.enqueue ~now:!now (Packet.make ~flow:f ~seq:seqs.(f) ~len:1000 ~born:!now ());
+    ignore (sched.Sched.dequeue ~now:!now)
+
+(* Minor words per step, counted after a warm-up that grows every ring
+   to its final size. *)
+let words_per_op step =
+  let ops = 20_000 in
+  for _ = 1 to ops do
+    step ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to ops do
+    step ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int ops
+
+(* A disabled tracer, wrapper and tag hook installed, allocates exactly
+   what the bare scheduler does: the E22 claim's deterministic part. A
+   live ring adds the boxed v(t) that [wrap] samples at each dequeue
+   (2 words), and nothing else. *)
+let test_disabled_alloc () =
+  let traced tracer =
+    let core = Sfq.create (Weights.uniform 1000.0) in
+    Sfq.set_tag_hook core ~active:(Tracer.active_flag tracer) (Tracer.tag_hook tracer);
+    Tracer.wrap ~vtime:(fun () -> Sfq.vtime core) tracer (Sfq.sched core)
+  in
+  List.iter
+    (fun (flows, depth) ->
+      let words sched = words_per_op (e22_stepper ~flows ~depth sched) in
+      let untraced = words (Sfq.sched (Sfq.create (Weights.uniform 1000.0))) in
+      let disabled = words (traced (Tracer.disabled ())) in
+      let ring = words (traced (Tracer.create ~capacity:65536 ())) in
+      let shape = Printf.sprintf "%dx%d" flows depth in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s: disabled words per op = untraced (%.4f)" shape untraced)
+        untraced disabled;
+      check_bool
+        (Printf.sprintf "%s: ring %.4f words per op <= untraced + 2" shape ring)
+        true
+        (ring <= untraced +. 2.0))
+    [ (512, 64); (64, 4); (8, 1) ]
 
 (* ------------------------------------------------------------------ *)
 (* Tag hooks                                                            *)
@@ -552,6 +616,8 @@ let () =
           Alcotest.test_case "disabled no-op + active_flag" `Quick test_disabled_noop;
           Alcotest.test_case "wrap events" `Quick test_wrap_events;
           Alcotest.test_case "wrap transparency" `Quick test_wrap_transparent;
+          Alcotest.test_case "disabled allocates what untraced does" `Quick
+            test_disabled_alloc;
         ] );
       ( "tag hooks",
         [

@@ -699,9 +699,8 @@ let alloc_delta step =
   Gc.minor_words () -. before
 
 let test_zero_alloc_steady_state () =
-  let n = 32 in
-  let stepper prog () =
-    let t = Pifo.create ~capacity:64 (prog ()) in
+  let stepper n prog =
+    let t = Pifo.create ~capacity:64 prog in
     let pkts = alloc_pkts n in
     Array.iter (Pifo.enqueue t ~now:0.0) pkts;
     let i = ref 0 in
@@ -711,15 +710,19 @@ let test_zero_alloc_steady_state () =
       ignore (Pifo.dequeue_exn t)
   in
   List.iter
-    (fun (name, mk) ->
-      let d = alloc_delta (mk ()) in
-      check_bool (Printf.sprintf "%s: %.0f minor words over 10k op pairs" name d) true
-        (d <= 64.0))
-    [
-      ("pifo-sfq", stepper (fun () -> Programs.sfq (Weights.uniform 100.0)));
-      ("pifo-scfq", stepper (fun () -> Programs.scfq (Weights.uniform 100.0)));
-      ("pifo-vc", stepper (fun () -> Programs.virtual_clock (Weights.uniform 100.0)));
-    ]
+    (fun n ->
+      List.iter
+        (fun (name, prog) ->
+          let d = alloc_delta (stepper n (prog (Weights.uniform 100.0))) in
+          check_bool
+            (Printf.sprintf "%s at %d flows: %.0f minor words over 10k op pairs" name n d)
+            true (d = 0.0))
+        [
+          ("pifo-sfq", fun w -> Programs.sfq w);
+          ("pifo-scfq", fun w -> Programs.scfq w);
+          ("pifo-vc", fun w -> Programs.virtual_clock w);
+        ])
+    [ 32; 64; 512 ]
 
 (* A churned link's lifecycle: every cycle a new flow arrives, is
    served and closes, ids rotating through a window. Slots, rings and

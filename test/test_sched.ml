@@ -157,42 +157,92 @@ let prop_flow_heap_single_flow_fifo =
         ops;
       !ok && Flow_heap.size fh = Queue.length model)
 
+(* Ops for the global-order model: push (flow, key increment), pop, and
+   eviction from the front or the back of a flow's queue. An eviction
+   names flow 0 half the time, which stands for the flow [peek] names:
+   its entry is the heap root, the case [heap_remove] takes without a
+   scan. *)
+type flow_heap_op = Push of int * int | Pop | Evict_front of int | Evict_back of int
+
+let flow_heap_model_gen =
+  QCheck.Gen.(
+    let victim = oneof [ return 0; 1 -- 3 ] in
+    list_size (1 -- 120)
+      (frequency
+         [
+           (4, map2 (fun flow inc -> Push (flow, inc)) (1 -- 3) (0 -- 5));
+           (2, return Pop);
+           (1, map (fun f -> Evict_front f) victim);
+           (1, map (fun f -> Evict_back f) victim);
+         ]))
+
+let flow_heap_model_print =
+  QCheck.Print.list (function
+    | Push (flow, inc) -> Printf.sprintf "push %d +%d" flow inc
+    | Pop -> "pop"
+    | Evict_front f -> Printf.sprintf "evict_front %d" f
+    | Evict_back f -> Printf.sprintf "evict_back %d" f)
+
 let prop_flow_heap_matches_global_heap =
   (* Pop order must be ascending (key, tie, uid) over everything
-     queued — exactly what one global heap over all entries gives. *)
+     queued — exactly what one global heap over all entries gives —
+     and an eviction takes the named flow's oldest (front) or newest
+     (back) entry, whichever heap slot the flow sits in. *)
   QCheck.Test.make ~name:"flow_heap: pops = global (key, tie, uid) order" ~count:200
-    (QCheck.make flow_heap_ops_gen ~print:flow_heap_ops_print)
+    (QCheck.make flow_heap_model_gen ~print:flow_heap_model_print)
     (fun ops ->
       let fh = Flow_heap.create () in
       let keys = Hashtbl.create 4 in
       let model = ref [] in
       let uid = ref (-1) in
       let ok = ref true in
+      (* the popped or evicted entry must be [expect], which then
+         leaves the model *)
+      let take got expect =
+        match (got, expect) with
+        | None, None -> ()
+        | Some e, Some ((k, _, u) as entry) ->
+          if e.Flow_heap.key <> k || e.Flow_heap.uid <> u
+             || e.Flow_heap.value <> u
+             || e.Flow_heap.aux <> k +. 1.0
+          then ok := false
+          else model := List.filter (fun x -> x <> entry) !model
+        | _ -> ok := false
+      in
+      let victim f =
+        if f <> 0 then f
+        else match Flow_heap.peek fh with Some e -> e.Flow_heap.flow | None -> 1
+      in
+      (* a flow's entries in uid order: its queue, front first *)
+      let queue_of flow =
+        List.sort (fun (_, _, a) (_, _, b) -> compare a b)
+          (List.filter (fun (_, tie, _) -> tie = float_of_int flow) !model)
+      in
       List.iter
         (fun op ->
           match op with
-          | Some (flow, inc) ->
+          | Push (flow, inc) ->
             let k = (try Hashtbl.find keys flow with Not_found -> 0) + inc in
             Hashtbl.replace keys flow k;
             incr uid;
             let key = float_of_int k and tie = float_of_int flow in
             Flow_heap.push fh ~flow ~key ~aux:(key +. 1.0) ~tie !uid;
             model := (key, tie, !uid) :: !model
-          | None -> (
+          | Pop ->
             let expect =
-              match List.sort compare !model with
-              | [] -> None
-              | min :: _ -> Some min
+              match List.sort compare !model with [] -> None | min :: _ -> Some min
             in
-            match (Flow_heap.pop fh, expect) with
-            | None, None -> ()
-            | Some e, Some ((k, _, u) as min) ->
-              if e.Flow_heap.key <> k || e.Flow_heap.uid <> u
-                 || e.Flow_heap.value <> u
-                 || e.Flow_heap.aux <> k +. 1.0
-              then ok := false
-              else model := List.filter (fun x -> x <> min) !model
-            | _ -> ok := false))
+            take (Flow_heap.pop fh) expect
+          | Evict_front f ->
+            let flow = victim f in
+            let expect = match queue_of flow with [] -> None | front :: _ -> Some front in
+            take (Flow_heap.evict_front fh flow) expect
+          | Evict_back f ->
+            let flow = victim f in
+            let expect =
+              match List.rev (queue_of flow) with [] -> None | back :: _ -> Some back
+            in
+            take (Flow_heap.evict_back fh flow) expect)
         ops;
       !ok && Flow_heap.size fh = List.length !model)
 
