@@ -15,17 +15,21 @@ type 'a t = {
   mutable dense : 'a array;  (* allocated lazily: no ['a] dummy exists *)
   mutable present : Bytes.t;  (* 1 iff the dense slot holds a live entry *)
   mutable dense_count : int;
-  sparse : (Packet.flow, 'a) Hashtbl.t;
+  (* Created with the first id outside the dense range, so a table
+     that only ever sees dense ids allocates no hashtable. *)
+  mutable sparse : (Packet.flow, 'a) Hashtbl.t option;
 }
 
 let create ~default =
-  {
-    default;
-    dense = [||];
-    present = Bytes.empty;
-    dense_count = 0;
-    sparse = Hashtbl.create 16;
-  }
+  { default; dense = [||]; present = Bytes.empty; dense_count = 0; sparse = None }
+
+let sparse t =
+  match t.sparse with
+  | Some h -> h
+  | None ->
+    let h = Hashtbl.create 16 in
+    t.sparse <- Some h;
+    h
 
 let is_dense flow = flow >= 0 && flow < dense_limit
 
@@ -34,7 +38,7 @@ let is_dense flow = flow >= 0 && flow < dense_limit
 let ensure t flow v =
   let cur = Array.length t.dense in
   if flow >= cur then begin
-    let cap = ref (if cur = 0 then 64 else 2 * cur) in
+    let cap = ref (if cur = 0 then 8 else 2 * cur) in
     while !cap <= flow do
       cap := 2 * !cap
     done;
@@ -59,7 +63,7 @@ let set t flow v =
     end;
     Array.unsafe_set t.dense flow v
   end
-  else Hashtbl.replace t.sparse flow v
+  else Hashtbl.replace (sparse t) flow v
 
 let find t flow =
   if is_dense flow then
@@ -70,18 +74,19 @@ let find t flow =
       v
     end
   else begin
-    match Hashtbl.find_opt t.sparse flow with
+    let h = sparse t in
+    match Hashtbl.find_opt h flow with
     | Some v -> v
     | None ->
       let v = t.default flow in
-      Hashtbl.replace t.sparse flow v;
+      Hashtbl.replace h flow v;
       v
   end
 
 let find_opt t flow =
   if is_dense flow then
     if dense_mem t flow then Some (Array.unsafe_get t.dense flow) else None
-  else Hashtbl.find_opt t.sparse flow
+  else match t.sparse with Some h -> Hashtbl.find_opt h flow | None -> None
 
 let remove t flow =
   if is_dense flow then begin
@@ -90,15 +95,17 @@ let remove t flow =
       t.dense_count <- t.dense_count - 1
     end
   end
-  else Hashtbl.remove t.sparse flow
+  else match t.sparse with Some h -> Hashtbl.remove h flow | None -> ()
 
-let mem t flow = if is_dense flow then dense_mem t flow else Hashtbl.mem t.sparse flow
+let mem t flow =
+  if is_dense flow then dense_mem t flow
+  else match t.sparse with Some h -> Hashtbl.mem h flow | None -> false
 
 let iter t ~f =
   for flow = 0 to Array.length t.dense - 1 do
     if Bytes.unsafe_get t.present flow <> '\000' then f flow (Array.unsafe_get t.dense flow)
   done;
-  Hashtbl.iter f t.sparse
+  match t.sparse with Some h -> Hashtbl.iter f h | None -> ()
 
 let fold t ~init ~f =
   let acc = ref init in
@@ -106,13 +113,14 @@ let fold t ~init ~f =
     if Bytes.unsafe_get t.present flow <> '\000' then
       acc := f flow (Array.unsafe_get t.dense flow) !acc
   done;
-  Hashtbl.fold f t.sparse !acc
+  match t.sparse with Some h -> Hashtbl.fold f h !acc | None -> !acc
 
 let flows t = fold t ~init:[] ~f:(fun flow _ acc -> flow :: acc) |> List.sort compare
-let length t = t.dense_count + Hashtbl.length t.sparse
+let length t =
+  t.dense_count + match t.sparse with Some h -> Hashtbl.length h | None -> 0
 let dense_capacity t = Array.length t.dense
 
 let clear t =
   Bytes.fill t.present 0 (Bytes.length t.present) '\000';
   t.dense_count <- 0;
-  Hashtbl.reset t.sparse
+  t.sparse <- None

@@ -12,6 +12,9 @@
 
 type 'a t
 
+val dense_limit : int
+(** [2^20]: ids in [\[0, dense_limit)] are array-indexed. *)
+
 val create : default:(Packet.flow -> 'a) -> 'a t
 val find : 'a t -> Packet.flow -> 'a
 (** Creates (and remembers) the default entry when absent. *)

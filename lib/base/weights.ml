@@ -6,15 +6,38 @@ let uniform w =
   check w;
   { lookup = (fun _ -> w) }
 
+(* A listed weight is kept boxed, one [W] block per listed id: a flat
+   [float array] would box every weight it hands back. *)
+type boxed = W of float
+
 let of_list ?(default = 1.0) assoc =
   check default;
   List.iter (fun (_, w) -> check w) assoc;
-  let table = Hashtbl.create 16 in
-  List.iter (fun (f, w) -> Hashtbl.replace table f w) assoc;
-  (* [mem] then [find] on a hit: [find_opt] allocates a [Some] per hit,
-     and a raised [Not_found] costs more on the many misses of
-     unlisted flows. *)
-  { lookup = (fun f -> if Hashtbl.mem table f then Hashtbl.find table f else default) }
+  let is_dense f = f >= 0 && f < Flow_table.dense_limit in
+  (* Listed ids in the dense range index an array sized by the largest
+     of them; only the others need a hashtable. Later bindings
+     overwrite earlier ones in both. *)
+  let n = List.fold_left (fun n (f, _) -> if is_dense f then max n (f + 1) else n) 0 assoc in
+  let dense = Array.make n (W default) in
+  List.iter (fun (f, w) -> if is_dense f then dense.(f) <- W w) assoc;
+  let listed f =
+    let (W w) = Array.unsafe_get dense f in
+    w
+  in
+  if List.for_all (fun (f, _) -> is_dense f) assoc then
+    { lookup = (fun f -> if f >= 0 && f < n then listed f else default) }
+  else begin
+    let sparse = Hashtbl.create 16 in
+    List.iter (fun (f, w) -> if not (is_dense f) then Hashtbl.replace sparse f w) assoc;
+    (* [mem] then [find]: [find_opt] allocates a [Some] per hit. *)
+    {
+      lookup =
+        (fun f ->
+          if f >= 0 && f < n then listed f
+          else if Hashtbl.mem sparse f then Hashtbl.find sparse f
+          else default);
+    }
+  end
 
 let of_fun f = { lookup = f }
 

@@ -15,7 +15,11 @@ val uniform : float -> t
 
 val of_list : ?default:float -> (Packet.flow * float) list -> t
 (** Explicit per-flow weights; unlisted flows get [default] (default
-    1.0). @raise Invalid_argument on a non-positive weight. *)
+    1.0), and a later binding of a flow overrides an earlier one. Ids
+    in [\[0, Flow_table.dense_limit)] are looked up in an array sized
+    by the largest listed one, so {!get} allocates nothing; a hashtable
+    is built only for listed ids outside that range.
+    @raise Invalid_argument on a non-positive weight. *)
 
 val of_fun : (Packet.flow -> float) -> t
 (** Fully dynamic assignment. The function must return positive

@@ -270,9 +270,10 @@ let run_raw ?mk_link ?(tap = fun (_ : Packet.t) ~at:(_ : float) -> ()) (s : scen
   let slots = if s.churn then s.window else 0 in
   let live_ids = Array.make slots 0 and live_entries = Array.make slots 0 in
   let dt = float_of_int (s.pkts_per_flow * s.len) /. s.core_rate /. s.load in
-  (* One closure per source, counting its own events. *)
+  (* One timer per source, counting its own events. *)
   let opened = ref 0 in
-  let rec open_next () =
+  let opener = ref Sim.no_timer in
+  let open_next () =
     let k = !opened in
     if k < s.flows then begin
       opened := k + 1;
@@ -301,10 +302,11 @@ let run_raw ?mk_link ?(tap = fun (_ : Packet.t) ~at:(_ : float) -> ()) (s : scen
       for j = 1 to s.pkts_per_flow do
         Net.inject net (Packet.make ~flow:f ~seq:j ~len:s.len ~born:now ())
       done;
-      Sim.schedule_after sim ~delay:dt open_next
+      Sim.arm_after sim !opener ~delay:dt
     end
   in
-  if s.flows > 0 then Sim.schedule sim ~at:0.0 open_next;
+  opener := Sim.timer sim open_next;
+  if s.flows > 0 then Sim.arm sim !opener ~at:0.0;
   (* Reserved CBR sources: full reserved rate, so EAT tracks arrival. *)
   let t_open = float_of_int s.flows *. dt in
   let interval = if s.reserved = 0 then 0.0 else len_f /. r_res in
@@ -315,17 +317,19 @@ let run_raw ?mk_link ?(tap = fun (_ : Packet.t) ~at:(_ : float) -> ()) (s : scen
   in
   for i = 0 to s.reserved - 1 do
     let sent = ref 0 in
-    let rec send () =
+    let sender = ref Sim.no_timer in
+    let send () =
       if !sent < res_pkts then begin
         incr sent;
         let now = Sim.now sim in
         let p = Packet.make ~flow:i ~seq:!sent ~len:s.len ~born:now () in
         (match oracle with Some o -> E2e.inject o p ~at:now | None -> ());
         Net.inject net p;
-        Sim.schedule_after sim ~delay:interval send
+        Sim.arm_after sim !sender ~delay:interval
       end
     in
-    Sim.schedule sim ~at:0.0 send
+    sender := Sim.timer sim send;
+    Sim.arm sim !sender ~at:0.0
   done;
   (* Network-wide conservation probes at quiesce points mid-run: the
      in-flight count derived from the edge counters can never be

@@ -9,14 +9,14 @@ type link_state = {
      and the hop it enters next: a ring (power-of-two capacity) of
      [fly_len] entries from [fly_head], oldest first. One delay and
      time-ordered departures make arrivals FIFO, so one [arrive]
-     callback per link, scheduled once per packet, replaces a closure
-     per packet. *)
+     timer per link, armed once per packet, replaces a closure per
+     packet. *)
   mutable fly_pkts : Packet.t array;
   mutable fly_routes : link_state array array;
   mutable fly_hops : int array;
   mutable fly_head : int;
   mutable fly_len : int;
-  mutable arrive : unit -> unit;
+  mutable arrive : Sim.timer;
 }
 
 (* Fill for empty ring slots, so a delivered packet is not kept alive by
@@ -125,7 +125,7 @@ let forward t ls p =
       ls.fly_routes.(j) <- route;
       ls.fly_hops.(j) <- i + 1;
       ls.fly_len <- ls.fly_len + 1;
-      Sim.schedule_after t.sim ~delay:ls.prop_delay ls.arrive
+      Sim.arm_after t.sim ls.arrive ~delay:ls.prop_delay
     end
   end
 
@@ -147,10 +147,10 @@ let link t ~src ~dst ~rate ~sched ?(prop_delay = 0.0) ?flow_buffer_limit ?buffer
       fly_hops = [||];
       fly_head = 0;
       fly_len = 0;
-      arrive = ignore;
+      arrive = Sim.no_timer;
     }
   in
-  ls.arrive <- (fun () -> arrive t ls);
+  ls.arrive <- Sim.timer t.sim (fun () -> arrive t ls);
   Hashtbl.replace t.links (src.index, dst.index) ls;
   Hashtbl.replace t.link_ends (src.index, dst.index) (src, dst);
   Server.on_depart server (fun p ~start:_ ~departed:_ -> forward t ls p);

@@ -12,13 +12,13 @@ type t = {
   mutable arrival_rejected : bool;
   mutable busy : bool;
   (* The server serves one packet at a time, so the packet in service
-     and its start time live here and one completion closure per server
+     and its start time live here and one completion timer per server
      replaces a closure per service. [in_service] is [idle_packet]
      whenever [busy] is false. [start] keeps the clock's boxed float, so
      storing it allocates nothing. *)
   mutable in_service : Packet.t;
   mutable start : float;
-  mutable complete : unit -> unit;
+  mutable complete : Sim.timer;
   work : float array;  (* [| bits served |]: unboxed, so adding boxes nothing *)
   mutable drops : int;
   mutable closed : int;
@@ -145,7 +145,7 @@ let rec start_service t =
       let finish =
         Rate_process.time_to_serve t.rate ~from:now ~amount:(float_of_int p.Packet.len)
       in
-      Sim.schedule t.sim ~at:finish t.complete
+      Sim.arm t.sim t.complete ~at:finish
   end
 
 and complete t =
@@ -182,7 +182,7 @@ let create sim ~name ~rate ~sched ?flow_buffer_limit ?buffer ?metrics
       busy = false;
       in_service = idle_packet;
       start = 0.0;
-      complete = ignore;
+      complete = Sim.no_timer;
       work = [| 0.0 |];
       drops = 0;
       closed = 0;
@@ -202,7 +202,7 @@ let create sim ~name ~rate ~sched ?flow_buffer_limit ?buffer ?metrics
       call_drop t.drop_handlers ~reason pkt
     in
     t.view <- Buffered.sched (Buffered.wrap ~on_drop cfg sched));
-  t.complete <- (fun () -> complete t);
+  t.complete <- Sim.timer sim (fun () -> complete t);
   (match metrics with None -> () | Some m -> wire_metrics t m ~delay_range);
   t
 

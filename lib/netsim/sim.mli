@@ -5,12 +5,22 @@
     every experiment deterministic given its RNG seed. This replaces
     the REAL simulator used by the paper's Figs. 1 and 2(b).
 
-    Firing an event allocates nothing: the queue is read through
-    {!Sfq_util.Fheap}'s non-allocating root accessors and the clock is
-    held unboxed. {!now} boxes the clock at most once per instant. The
-    heap orders int handles; the callbacks themselves sit in a
-    {!Sfq_util.Slab}, written when scheduled and cleared when fired,
-    so a sift moves no pointer and a fired callback is garbage. *)
+    The queue is a binary min-heap on (firing time, scheduling
+    sequence) over unboxed parallel arrays, and each queued event names
+    an entry of one callback table, so a sift writes no pointer. A
+    {!timer} is a callback registered once and queued by {!arm} as
+    often as needed (it may be pending several times); {!schedule}
+    makes a one-shot entry, freed when it fires, so a fired closure is
+    garbage. Every [schedule] and every [arm] takes the next sequence
+    number.
+
+    Firing an event allocates nothing and arming a timer writes no
+    pointer: the clock is held unboxed, {!now} boxes it at most once
+    per instant, and {!arm_after} stores the firing time it computes
+    without boxing it. Recurring callbacks (a server's completion, a
+    link's arrival, a periodic source) should be timers; a callback
+    made per flow or per packet should use [schedule], since a timer's
+    entry lives as long as its simulation. *)
 
 type t
 
@@ -24,6 +34,24 @@ val schedule : t -> at:float -> (unit -> unit) -> unit
 
 val schedule_after : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~at:(now t +. delay)]. [delay] must be >= 0. *)
+
+type timer
+(** A callback registered in one simulation. *)
+
+val timer : t -> (unit -> unit) -> timer
+(** Register a callback for {!arm}. Queues nothing. *)
+
+val no_timer : timer
+(** Belongs to no simulation, so arming it raises. A field that needs
+    a timer before its callback can exist starts as this. *)
+
+val arm : t -> timer -> at:float -> unit
+(** Queue the timer's callback at [at], as {!schedule} would queue a
+    fresh callback. @raise Invalid_argument if [at] is in the past or
+    the timer was registered in another simulation. *)
+
+val arm_after : t -> timer -> delay:float -> unit
+(** [arm t tm ~at:(now t +. delay)]. [delay] must be >= 0. *)
 
 val run : t -> until:float -> unit
 (** Fire every event with timestamp [<= until] in order, then set the

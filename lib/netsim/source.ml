@@ -12,20 +12,27 @@ let emit sim target ~flow ~len counter =
   let pkt = Packet.make ~flow ~seq:counter.sent ~len ~born:(Sim.now sim) () in
   target pkt
 
+(* A source's ticks are one timer, registered here into [ticker] (which
+   the tick re-arms) and first fired at [start]. *)
+let start_ticks sim ticker tick ~start =
+  ticker := Sim.timer sim tick;
+  Sim.arm sim !ticker ~at:start
+
 (* Generic clocked source: [next_gap] yields the delay to the next
    packet (None to stop early). *)
 let clocked sim ~target ~flow ~len ~start ~stop next_gap =
   check_common ~len ~start ~stop;
   let counter = { sent = 0; finished_at = None } in
-  let rec tick () =
+  let ticker = ref Sim.no_timer in
+  let tick () =
     if Sim.now sim <= stop then begin
       emit sim target ~flow ~len counter;
       match next_gap () with
-      | Some gap when Sim.now sim +. gap <= stop -> Sim.schedule_after sim ~delay:gap tick
+      | Some gap when Sim.now sim +. gap <= stop -> Sim.arm_after sim !ticker ~delay:gap
       | Some _ | None -> counter.finished_at <- Some (Sim.now sim)
     end
   in
-  Sim.schedule sim ~at:start tick;
+  start_ticks sim ticker tick ~start;
   counter
 
 let cbr sim ~target ~flow ~len ~rate ~start ~stop =
@@ -56,16 +63,17 @@ let burst sim ~target ~flow ~len ~burst_size ~interval ~start ~stop =
   if burst_size <= 0 || interval <= 0.0 then invalid_arg "Source.burst: bad parameters";
   check_common ~len ~start ~stop;
   let counter = { sent = 0; finished_at = None } in
-  let rec tick () =
+  let ticker = ref Sim.no_timer in
+  let tick () =
     if Sim.now sim <= stop then begin
       for _ = 1 to burst_size do
         emit sim target ~flow ~len counter
       done;
-      if Sim.now sim +. interval <= stop then Sim.schedule_after sim ~delay:interval tick
+      if Sim.now sim +. interval <= stop then Sim.arm_after sim !ticker ~delay:interval
       else counter.finished_at <- Some (Sim.now sim)
     end
   in
-  Sim.schedule sim ~at:start tick;
+  start_ticks sim ticker tick ~start;
   counter
 
 let leaky_bucket sim ~target ~flow ~len ~sigma ~rho ~flush_every ~start ~stop =
@@ -75,7 +83,8 @@ let leaky_bucket sim ~target ~flow ~len ~sigma ~rho ~flush_every ~start ~stop =
   let counter = { sent = 0; finished_at = None } in
   let tokens = ref sigma (* bucket starts full *) in
   let last = ref start in
-  let rec tick () =
+  let ticker = ref Sim.no_timer in
+  let tick () =
     let now = Sim.now sim in
     tokens := Float.min sigma (!tokens +. (rho *. (now -. !last)));
     last := now;
@@ -84,10 +93,10 @@ let leaky_bucket sim ~target ~flow ~len ~sigma ~rho ~flush_every ~start ~stop =
       emit sim target ~flow ~len counter;
       tokens := !tokens -. flen
     done;
-    if now +. flush_every <= stop then Sim.schedule_after sim ~delay:flush_every tick
+    if now +. flush_every <= stop then Sim.arm_after sim !ticker ~delay:flush_every
     else counter.finished_at <- Some now
   in
-  Sim.schedule sim ~at:start tick;
+  start_ticks sim ticker tick ~start;
   counter
 
 let greedy sim ~server ?(priority = false) ~flow ~len ~total ~window ~start () =

@@ -538,6 +538,12 @@ let sfq_throughput ~flows ~lmax ~rate ~capacity () =
           done;
           let k = !k in
           let lmax_f = lmax f in
+          (* [Bounds.sfq_throughput_lower] with δ = 0, its constant
+             terms hoisted out of the window loop and the subtractions
+             kept in its order, so every bound is bit-identical. A call
+             across the module boundary would box t1, t2 and the
+             result per window. *)
+          let burst = r *. sum_lmax /. capacity and delta_term = r *. 0.0 /. capacity in
           List.iter
             (fun (a, b) ->
               (* t1 ranges over a, the starts inside [a,b], then the
@@ -572,10 +578,7 @@ let sfq_throughput ~flows ~lmax ~rate ~capacity () =
                   if t2 > t1 then begin
                     let i2 = i2s.(j) in
                     let w = if i2 > i1 then prefix.(i2) -. prefix.(i1) else 0.0 in
-                    let lo =
-                      Bounds.sfq_throughput_lower ~rate:r ~t1 ~t2 ~sum_lmax ~lmax_f
-                        ~capacity ~delta:0.0
-                    in
+                    let lo = (r *. (t2 -. t1)) -. burst -. delta_term -. lmax_f in
                     if w < lo -. slack lo then
                       report ~at:t2
                         (Printf.sprintf

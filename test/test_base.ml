@@ -86,6 +86,25 @@ let test_flow_table_clear () =
   Flow_table.clear t;
   check_int "empty" 0 (Flow_table.length t)
 
+(* Ids outside [0, 2^20) go to a hashtable made on the first of them. *)
+let test_flow_table_sparse_ids () =
+  let t = Flow_table.create ~default:(fun f -> f) in
+  let big = Flow_table.dense_limit in
+  check_bool "absent before any sparse id" false (Flow_table.mem t (-3));
+  check_bool "find_opt absent" true (Flow_table.find_opt t big = None);
+  Flow_table.remove t (-3);
+  check_int "default for a sparse id" (-3) (Flow_table.find t (-3));
+  Flow_table.set t big 7;
+  Flow_table.set t 2 9;
+  check_int "set sparse" 7 (Flow_table.find t big);
+  Alcotest.(check (list int)) "flows" [ -3; 2; big ] (Flow_table.flows t);
+  check_int "length" 3 (Flow_table.length t);
+  Flow_table.remove t (-3);
+  check_bool "removed" false (Flow_table.mem t (-3));
+  Flow_table.clear t;
+  check_int "cleared" 0 (Flow_table.length t);
+  check_bool "sparse cleared" false (Flow_table.mem t big)
+
 (* ------------------------------------------------------------------ *)
 (* Weights                                                              *)
 
@@ -99,6 +118,31 @@ let test_weights_of_list () =
   check_float "listed" 3.0 (Weights.get w 1);
   check_float "listed 2" 5.0 (Weights.get w 2);
   check_float "default" 1.0 (Weights.get w 7)
+
+let test_weights_of_list_ranges () =
+  let big = Flow_table.dense_limit + 5 in
+  let w =
+    Weights.of_list ~default:2.0 [ (3, 4.0); (-1, 6.0); (big, 8.0); (3, 5.0); (-1, 7.0) ]
+  in
+  check_float "later binding wins (dense)" 5.0 (Weights.get w 3);
+  check_float "later binding wins (sparse)" 7.0 (Weights.get w (-1));
+  check_float "large id" 8.0 (Weights.get w big);
+  check_float "unlisted below the largest" 2.0 (Weights.get w 1);
+  check_float "unlisted above the largest" 2.0 (Weights.get w 4);
+  check_float "unlisted sparse" 2.0 (Weights.get w (-7))
+
+(* Listed and unlisted dense ids are answered without a [Some] or a
+   fresh float box, which a flat [float array] would make per lookup. *)
+let test_weights_lookup_allocates_nothing () =
+  let w = Weights.of_list ~default:1.0 [ (1, 3.0); (4, 5.0) ] in
+  let acc = [| 0.0 |] in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    acc.(0) <- acc.(0) +. Weights.get w (i land 7)
+  done;
+  let words = Gc.minor_words () -. before in
+  check_float "sum" 17_500.0 acc.(0);
+  check_float "minor words over 10k lookups" 0.0 words
 
 let test_weights_validation () =
   Alcotest.check_raises "uniform" (Invalid_argument "Weights: weight must be positive")
@@ -176,11 +220,15 @@ let () =
           Alcotest.test_case "flows sorted" `Quick test_flow_table_flows_sorted;
           Alcotest.test_case "fold/iter" `Quick test_flow_table_fold_iter;
           Alcotest.test_case "clear" `Quick test_flow_table_clear;
+          Alcotest.test_case "sparse ids" `Quick test_flow_table_sparse_ids;
         ] );
       ( "weights",
         [
           Alcotest.test_case "uniform" `Quick test_weights_uniform;
           Alcotest.test_case "of_list" `Quick test_weights_of_list;
+          Alcotest.test_case "of_list id ranges" `Quick test_weights_of_list_ranges;
+          Alcotest.test_case "lookup allocates nothing" `Quick
+            test_weights_lookup_allocates_nothing;
           Alcotest.test_case "validation" `Quick test_weights_validation;
           Alcotest.test_case "set shadows" `Quick test_weights_set_shadows;
           Alcotest.test_case "total" `Quick test_weights_total;

@@ -11,9 +11,13 @@
    On an intentional change, regenerate with
      dune exec bin/sfq_sweep.exe -- golden > test/golden/digests.expected *)
 
+(* Found from the test directory (as [dune runtest] runs it), from its
+   build directory, or from the repository root. *)
 let corpus_path =
-  if Sys.file_exists "golden/digests.expected" then "golden/digests.expected"
-  else "../golden/digests.expected"
+  let root = "test/golden/digests.expected" in
+  Option.value ~default:root
+    (List.find_opt Sys.file_exists
+       [ "golden/digests.expected"; "../golden/digests.expected"; root ])
 
 let read_lines path =
   let ic = open_in path in

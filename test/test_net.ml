@@ -483,11 +483,11 @@ let check_budget name (s : Net_sweep.scenario) (b : budget) () =
 
 let test_star_budget =
   check_budget "star-churn cell" (star_cell ())
-    { minor = 39.0; promoted = 1.2; calls = 5.41; events = 4.63; high_water = 260 }
+    { minor = 32.0; promoted = 1.2; calls = 5.41; events = 4.63; high_water = 260 }
 
 let test_tree_budget =
   check_budget "tree-buffered cell" (tree_cell ())
-    { minor = 117.75; promoted = 48.0; calls = 26.0; events = 8.18; high_water = 260 }
+    { minor = 102.5; promoted = 48.0; calls = 26.0; events = 8.18; high_water = 260 }
 
 (* ------------------------------------------------------------------ *)
 (* The composed end-to-end oracle, driven by hand.                     *)

@@ -119,6 +119,135 @@ let test_sim_releases_fired_callbacks () =
   check_bool "fired callback collected" false (Weak.check w 0);
   check_int "second still pending" 1 (Sim.pending sim)
 
+(* A registered timer armed from its own callback with a constant
+   delay: arming computes the firing time into the queue's unboxed key
+   array, so a cycle allocates nothing. *)
+let test_sim_timer_zero_alloc () =
+  let sim = Sim.create () and fired = ref 0 and tm = ref Sim.no_timer in
+  let n = 100_000 in
+  let tick () =
+    incr fired;
+    if !fired <= n then Sim.arm_after sim !tm ~delay:0.5
+  in
+  tm := Sim.timer sim tick;
+  Sim.arm sim !tm ~at:0.0;
+  Sim.run sim ~until:0.0;
+  let before = Gc.minor_words () in
+  Sim.run_all sim ();
+  let words = Gc.minor_words () -. before in
+  check_int "all fired" (n + 1) !fired;
+  check_float "clock at the last cycle" (0.5 *. float_of_int n) (Sim.now sim);
+  check_float "minor words over 100k arm-and-fire cycles" 0.0 words
+
+let test_sim_timer_pending_twice () =
+  let sim = Sim.create () and log = ref [] in
+  let tm = Sim.timer sim (fun () -> log := Sim.now sim :: !log) in
+  Sim.arm sim tm ~at:2.0;
+  Sim.arm sim tm ~at:1.0;
+  Sim.arm_after sim tm ~delay:2.0;
+  check_int "three pending" 3 (Sim.pending sim);
+  Sim.run_all sim ();
+  Alcotest.(check (list (float 0.0))) "once per arm, in time order" [ 1.0; 2.0; 2.0 ]
+    (List.rev !log)
+
+let test_sim_timer_misuse () =
+  let sim = Sim.create () and other = Sim.create () in
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  let tm = Sim.timer other ignore in
+  check_bool "another simulation's timer" true (raises (fun () -> Sim.arm sim tm ~at:1.0));
+  check_bool "no_timer" true (raises (fun () -> Sim.arm_after sim Sim.no_timer ~delay:1.0));
+  Sim.run other ~until:1.0;
+  check_bool "in the past" true (raises (fun () -> Sim.arm other tm ~at:0.5));
+  check_bool "negative delay" true (raises (fun () -> Sim.arm_after other tm ~delay:(-1.0)));
+  check_int "nothing queued" 0 (Sim.pending sim + Sim.pending other)
+
+(* Model test: random mixes of one-shot and timer events, where every
+   firing runs the next group of a random script (re-arming timers that
+   may still be pending, and scheduling at the current instant), fire
+   in exactly the order of a list sorted by (time, sequence), each
+   [schedule] and [arm] taking the next sequence number. *)
+type sim_op =
+  | Sched of float  (* schedule at now + d *)
+  | Sched_after of float
+  | Arm of int * float  (* arm timer k at now + d *)
+  | Arm_after of int * float
+
+let timers_in_model = 3
+
+(* Fire log: (time, label, pending after the pop). One-shots are
+   labelled 0, 1, 2, ... in scheduling order, timer k is -(k + 1). *)
+let sim_real ops0 script =
+  let sim = Sim.create () and log = ref [] and step = ref 0 and label = ref 0 in
+  let timers = Array.make timers_in_model Sim.no_timer in
+  let rec fire l () =
+    log := (Sim.now sim, l, Sim.pending sim) :: !log;
+    let k = !step in
+    incr step;
+    if k < Array.length script then List.iter run_op script.(k)
+  and one_shot () =
+    let l = !label in
+    incr label;
+    fire l
+  and run_op = function
+    | Sched d -> Sim.schedule sim ~at:(Sim.now sim +. d) (one_shot ())
+    | Sched_after d -> Sim.schedule_after sim ~delay:d (one_shot ())
+    | Arm (k, d) -> Sim.arm sim timers.(k) ~at:(Sim.now sim +. d)
+    | Arm_after (k, d) -> Sim.arm_after sim timers.(k) ~delay:d
+  in
+  Array.iteri (fun k _ -> timers.(k) <- Sim.timer sim (fire (-(k + 1)))) timers;
+  List.iter run_op ops0;
+  Sim.run_all sim ();
+  (List.rev !log, Sim.events_fired sim)
+
+let sim_model ops0 script =
+  let pending = ref [] and seq = ref 0 and label = ref 0 and now = ref 0.0 in
+  let log = ref [] and step = ref 0 in
+  let push at l =
+    pending := (at, !seq, l) :: !pending;
+    incr seq
+  in
+  let run_op = function
+    | Sched d | Sched_after d ->
+      push (!now +. d) !label;
+      incr label
+    | Arm (k, d) | Arm_after (k, d) -> push (!now +. d) (-(k + 1))
+  in
+  List.iter run_op ops0;
+  while !pending <> [] do
+    let sorted = List.sort compare !pending in
+    let at, _, l = List.hd sorted in
+    pending := List.tl sorted;
+    now := at;
+    log := (at, l, List.length !pending) :: !log;
+    let k = !step in
+    incr step;
+    if k < Array.length script then List.iter run_op script.(k)
+  done;
+  List.rev !log
+
+let prop_sim_matches_model =
+  let open QCheck in
+  let dt = Gen.oneofl [ 0.0; 0.0; 0.25; 1.0; 1.5; 3.0 ] in
+  let op =
+    Gen.(
+      frequency
+        [
+          (1, map (fun d -> Sched d) dt);
+          (1, map (fun d -> Sched_after d) dt);
+          (2, map2 (fun k d -> Arm (k, d)) (int_bound (timers_in_model - 1)) dt);
+          (2, map2 (fun k d -> Arm_after (k, d)) (int_bound (timers_in_model - 1)) dt);
+        ])
+  in
+  let gen =
+    Gen.(
+      pair (list_size (int_range 1 8) op) (array_size (int_bound 60) (list_size (int_bound 2) op)))
+  in
+  Test.make ~name:"fires in (time, sequence) order of a sorted model" ~count:300 (make gen)
+    (fun (ops0, script) ->
+      let real, fired = sim_real ops0 script in
+      let model = sim_model ops0 script in
+      real = model && fired = List.length model)
+
 (* ------------------------------------------------------------------ *)
 (* Rate_process                                                         *)
 
@@ -624,6 +753,10 @@ let () =
             test_sim_run_all_zero_alloc;
           Alcotest.test_case "fired callbacks are released" `Quick
             test_sim_releases_fired_callbacks;
+          Alcotest.test_case "timer cycles allocate nothing" `Quick test_sim_timer_zero_alloc;
+          Alcotest.test_case "timer pending several times" `Quick test_sim_timer_pending_twice;
+          Alcotest.test_case "timer misuse rejected" `Quick test_sim_timer_misuse;
+          q prop_sim_matches_model;
         ] );
       ( "rate_process",
         [

@@ -456,8 +456,8 @@ let test_models_fired () =
    monitors and their finalize) over the first 30 traces of the frozen
    theorem pool, read with [Gc.minor_words] fenced by [Gc.minor] as
    test_net's budgets are. A second pass is measured, so lazy set-up is
-   not counted. Each budget sits just above the count (223.75, 146.14
-   and 204.94 words), so one more allocation per event fails it. *)
+   not counted. Each budget sits just above the count (171.32, 132.00
+   and 154.06 words), so one more allocation per event fails it. *)
 let theorem_budget cells budget () =
   List.iter (fun c -> ignore (Run.run_cell c)) cells;
   Gc.minor ();
@@ -473,13 +473,13 @@ let theorem_budget cells budget () =
 
 let budget_slice () = List.filteri (fun i _ -> i < 30) theorem_pool
 
-let test_sfq_budget () = theorem_budget (Suite.sfq_cells ~pool:(budget_slice ()) ()) 224.5 ()
-let test_scfq_budget () = theorem_budget (Suite.scfq_cells ~pool:(budget_slice ()) ()) 146.5 ()
+let test_sfq_budget () = theorem_budget (Suite.sfq_cells ~pool:(budget_slice ()) ()) 172.0 ()
+let test_scfq_budget () = theorem_budget (Suite.scfq_cells ~pool:(budget_slice ()) ()) 132.5 ()
 
 let test_pifo_sfq_budget () =
   (* the first 30 pifo cells are the pifo-sfq ones *)
   let cells = List.filteri (fun i _ -> i < 30) (Suite.pifo_cells ~pool:(budget_slice ()) ()) in
-  theorem_budget cells 205.5 ()
+  theorem_budget cells 154.5 ()
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance sweeps                                                    *)
