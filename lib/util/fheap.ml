@@ -145,10 +145,6 @@ let min_key_exn h =
   if h.size = 0 then invalid_arg "Fheap.min_key_exn: empty heap";
   h.keys.(0)
 
-let min_key_into h dst =
-  if h.size = 0 then invalid_arg "Fheap.min_key_into: empty heap";
-  dst.(0) <- h.keys.(0)
-
 let min_elt_exn h =
   if h.size = 0 then invalid_arg "Fheap.min_elt_exn: empty heap";
   h.data.(0)

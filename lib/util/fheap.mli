@@ -30,7 +30,7 @@
 
     [add], [pop] and [replace_root] are O(log n);
     [min]/[min_elt]/[min_key_exn] are O(1). Once the arrays have
-    reached peak size, [add], [min_key_into], [min_elt_exn],
+    reached peak size, [add], [min_elt_exn],
     [remove_root] and [replace_root] allocate nothing: the comparisons
     are inlined, so no float is boxed on a sift. Keep {!Ds_heap} for
     heterogeneous orderings (version counters, multi-field records)
@@ -51,13 +51,6 @@ val add : t -> key:float -> tie:float -> uid:int -> int -> unit
 
 val min_key_exn : t -> float
 (** Smallest key, without allocation.
-    @raise Invalid_argument on an empty heap. *)
-
-val min_key_into : t -> float array -> unit
-(** [min_key_into h dst] stores the smallest key in [dst.(0)]. A float
-    returned by a function that is not inlined is boxed, and the dev
-    build inlines nothing across modules; a float array slot holds the
-    key unboxed, so this reads it without allocating.
     @raise Invalid_argument on an empty heap. *)
 
 val min_elt_exn : t -> int
